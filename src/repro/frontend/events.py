@@ -10,7 +10,6 @@ nothing more: the first-order model never sees cycle-level information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,22 +47,6 @@ class EventAnnotations:
 
     def __len__(self) -> int:
         return len(self.fetch_stall)
-
-    # Plain-list views, cached: the cycle-level simulators index these
-    # per instruction, and one annotation set is commonly simulated under
-    # several configurations (and by both engines in A/B tests).
-
-    @cached_property
-    def fetch_stall_list(self) -> list[int]:
-        return self.fetch_stall.tolist()
-
-    @cached_property
-    def long_miss_list(self) -> list[bool]:
-        return self.long_miss.tolist()
-
-    @cached_property
-    def mispredicted_list(self) -> list[bool]:
-        return self.mispredicted.tolist()
 
 
 @dataclass(frozen=True)

@@ -96,9 +96,10 @@ class DetailedSimulator:
     Two interchangeable engines produce bit-identical results: the
     *reference* engine below is the direct transcription of the machine's
     per-cycle phases, while the *fast* engine
-    (:mod:`repro.simulator.engine`) is event-driven with quiescent-cycle
-    skipping.  Equivalence is enforced by the regression suite; the fast
-    engine is the default.
+    (:func:`repro.simulator.streaming.run_fast_stream`, fed the whole
+    trace as one chunk) is event-driven with quiescent-cycle skipping.
+    Equivalence is enforced by the regression suite; the fast engine is
+    the default.
     """
 
     def __init__(self, config: ProcessorConfig | None = None,
@@ -187,10 +188,11 @@ class DetailedSimulator:
     ) -> SimResult:
         n = len(trace)
         if self.engine == "fast":
-            from repro.simulator.engine import run_fast
+            from repro.simulator.streaming import run_fast_stream
 
-            return run_fast(trace, self.config, annotations,
-                            instrument=self.instrument, telemetry=tele)
+            return run_fast_stream([(0, trace, annotations)], n, self.config,
+                                   name=trace.name,
+                                   instrument=self.instrument, telemetry=tele)
 
         cfg = self.config
         width = cfg.width

@@ -18,7 +18,6 @@ reasons about dependences ("register-based data dependence properties",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -55,17 +54,6 @@ class Dependences:
 
     def __len__(self) -> int:
         return len(self.dep1)
-
-    @cached_property
-    def dep1_list(self) -> list[int]:
-        """``dep1`` as a plain list — the representation the cycle-level
-        simulators index per instruction (cached: the conversion shows up
-        in profiles when a trace is simulated under many configs)."""
-        return self.dep1.tolist()
-
-    @cached_property
-    def dep2_list(self) -> list[int]:
-        return self.dep2.tolist()
 
     def distances(self) -> np.ndarray:
         """Dependence distances (consumer index minus producer index) for
@@ -184,13 +172,14 @@ class Trace:
     def dependences(self) -> Dependences:
         """Run the register-renaming pass (cached).
 
-        A single in-order sweep maps each source register name to the trace
-        index of its most recent producer.  Loads/stores do not create
-        memory dependences here; the paper's model (and its detailed
-        reference simulator) track register dependences only.
+        Each source register name maps to the trace index of its most
+        recent producer, as an in-order sweep would find it (see
+        :class:`StreamingRenamer`).  Loads/stores do not create memory
+        dependences here; the paper's model (and its detailed reference
+        simulator) track register dependences only.
         """
         if self._deps is None:
-            self._deps = _rename(self.dst, self.src1, self.src2, self.opclass)
+            self._deps = StreamingRenamer().rename_chunk(self)
         return self._deps
 
     def latencies(self, table: LatencyTable) -> np.ndarray:
@@ -227,18 +216,25 @@ class StreamingRenamer:
     """Chunk-at-a-time register renaming with cross-chunk carry.
 
     Feeding the chunks of a stream through :meth:`rename_chunk` in order
-    produces exactly the dependences :func:`_rename` computes on the
-    concatenated trace: the producer map persists across chunk
+    produces exactly the dependences :meth:`Trace.dependences` computes
+    on the concatenated trace: the producer map persists across chunk
     boundaries, so a source operand whose producer lives in an earlier
     chunk resolves to that producer's *global* trace index.  Peak memory
     is O(chunk) plus the register file.
+
+    Each chunk is renamed with whole-array operations instead of a
+    per-instruction sweep: the operand slots are grouped by register
+    with a stable sort, so within a group they stay in program order,
+    and a running maximum over the group's writer slots gives every
+    read its latest earlier producer.
     """
 
     def __init__(self) -> None:
-        self._prod: list[int] = []
-        self._writes = [
-            writes_register(OpClass(c)) for c in range(len(OpClass))
-        ]
+        #: register -> global index of its latest producer, -1 for none
+        self._prod = np.full(1, -1, dtype=np.int64)
+        self._writes = np.array(
+            [writes_register(OpClass(c)) for c in range(len(OpClass))]
+        )
         self._next = 0
 
     @property
@@ -250,71 +246,38 @@ class StreamingRenamer:
         """Dependences of ``chunk`` (producer indices are global)."""
         n = len(chunk)
         base = self._next
-        hi = 1 + max(
-            int(chunk.dst.max(initial=NO_REG)),
-            int(chunk.src1.max(initial=NO_REG)),
-            int(chunk.src2.max(initial=NO_REG)),
-        )
-        prod = self._prod
-        if hi > len(prod):
-            prod.extend([-1] * (hi - len(prod)))
-        d1 = [-1] * n
-        d2 = [-1] * n
-        dst_list = chunk.dst.tolist()
-        src1_list = chunk.src1.tolist()
-        src2_list = chunk.src2.tolist()
-        op_list = chunk.opclass.tolist()
-        writes = self._writes
-        for k in range(n):
-            s1 = src1_list[k]
-            if s1 != NO_REG:
-                d1[k] = prod[s1]
-            s2 = src2_list[k]
-            if s2 != NO_REG:
-                d2[k] = prod[s2]
-            d = dst_list[k]
-            if d != NO_REG and writes[op_list[k]]:
-                prod[d] = base + k
         self._next = base + n
-        return Dependences(
-            dep1=np.array(d1, dtype=np.int64),
-            dep2=np.array(d2, dtype=np.int64),
+        # three operand slots per instruction, in program order: slot
+        # 3k and 3k+1 read its sources before slot 3k+2 writes its
+        # destination
+        dst = np.where(self._writes[chunk.opclass], chunk.dst, NO_REG)
+        reg = np.stack((chunk.src1, chunk.src2, dst), axis=1).ravel()
+        hi = 1 + int(reg.max(initial=NO_REG))
+        if hi > len(self._prod):
+            self._prod = np.concatenate(
+                (self._prod, np.full(hi - len(self._prod), -1, np.int64))
+            )
+        prod = self._prod
+        order = np.argsort(reg, kind="stable")
+        reg_s = reg[order]
+        pos_s = order // 3 + base
+        writer = np.zeros(3 * n, dtype=bool)
+        writer[2::3] = dst != NO_REG
+        writer_s = writer[order]
+        # sorted position of the latest writer slot up to each slot; it
+        # produces the slot's register only if it lies in the same group
+        last = np.maximum.accumulate(
+            np.where(writer_s, np.arange(3 * n), -1)
         )
-
-
-def _rename(
-    dst: np.ndarray, src1: np.ndarray, src2: np.ndarray, opclass: np.ndarray
-) -> Dependences:
-    """Sequential renaming sweep; see :meth:`Trace.dependences`."""
-    n = len(dst)
-    num_regs = 1 + max(
-        int(dst.max(initial=NO_REG)),
-        int(src1.max(initial=NO_REG)),
-        int(src2.max(initial=NO_REG)),
-    )
-    num_regs = max(num_regs, 1)
-    producer = np.full(num_regs, -1, dtype=np.int64)
-    dep1 = np.full(n, -1, dtype=np.int64)
-    dep2 = np.full(n, -1, dtype=np.int64)
-    writer_mask = np.array([writes_register(OpClass(c)) for c in range(len(OpClass))])
-    dst_list = dst.tolist()
-    src1_list = src1.tolist()
-    src2_list = src2.tolist()
-    op_list = opclass.tolist()
-    prod = producer.tolist()
-    d1 = dep1.tolist()
-    d2 = dep2.tolist()
-    writes = writer_mask.tolist()
-    for k in range(n):
-        s1 = src1_list[k]
-        if s1 != NO_REG:
-            d1[k] = prod[s1]
-        s2 = src2_list[k]
-        if s2 != NO_REG:
-            d2[k] = prod[s2]
-        d = dst_list[k]
-        if d != NO_REG and writes[op_list[k]]:
-            prod[d] = k
-    return Dependences(
-        dep1=np.array(d1, dtype=np.int64), dep2=np.array(d2, dtype=np.int64)
-    )
+        in_chunk = (last >= 0) & (reg_s[last] == reg_s)
+        dep_s = np.where(in_chunk, pos_s[last], prod[reg_s])
+        dep_s[reg_s == NO_REG] = -1
+        dep = np.empty(3 * n, dtype=np.int64)
+        dep[order] = dep_s
+        # carry each register's last writer in this chunk forward
+        w = np.flatnonzero(writer_s)
+        if len(w):
+            w_reg = reg_s[w]
+            tail = w[np.append(w_reg[1:] != w_reg[:-1], True)]
+            prod[reg_s[tail]] = pos_s[tail]
+        return Dependences(dep1=dep[0::3].copy(), dep2=dep[1::3].copy())

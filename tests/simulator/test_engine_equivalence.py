@@ -1,9 +1,10 @@
 """Cycle-exactness of the fast engine against the reference engine.
 
-The fast path (:mod:`repro.simulator.engine`) is pure optimization: for
-every trace and configuration it must reproduce the reference loop's
-cycle count, event counts and instrumentation bit for bit.  This is the
-regression gate that keeps it honest.
+The fast engine (:func:`repro.simulator.streaming.run_fast_stream`) is
+pure optimization: for every trace, configuration and chunk size it must
+reproduce the reference loop's cycle count, event counts and
+instrumentation bit for bit.  This is the regression gate that keeps it
+honest.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.config import BASELINE, ProcessorConfig
+from repro.frontend.events import EventAnnotations
+from repro.simulator import streaming
 from repro.simulator.processor import DetailedSimulator, simulate
 from repro.trace.profiles import BENCHMARK_ORDER
 from repro.trace.synthetic import generate_trace
@@ -27,6 +30,10 @@ CONFIGS = (
     BASELINE,
     ProcessorConfig(pipeline_depth=3, width=2, window_size=8, rob_size=16),
 )
+
+#: chunk sizes the engine is also fed at, beside the whole trace (the
+#: in-memory path): a prime mid-size chunk and a tiny one
+CHUNK_SIZES = (997, 7)
 
 
 def assert_equivalent(fast, ref) -> None:
@@ -49,7 +56,8 @@ def assert_equivalent(fast, ref) -> None:
 @pytest.mark.parametrize("bench_name", BENCHMARK_ORDER)
 @pytest.mark.parametrize("length", LENGTHS)
 @pytest.mark.parametrize("config", CONFIGS, ids=("baseline", "cramped"))
-def test_fast_engine_matches_reference(bench_name, length, config):
+def test_fast_engine_matches_reference(bench_name, length, config,
+                                      monkeypatch):
     trace = generate_trace(bench_name, length)
     annotations = DetailedSimulator(config, engine="fast").annotate(trace)
     fast = DetailedSimulator(config, engine="fast").run(trace, annotations)
@@ -57,6 +65,27 @@ def test_fast_engine_matches_reference(bench_name, length, config):
         trace, annotations
     )
     assert_equivalent(fast, ref)
+    # the smallest tables the engine allows (twice the live range), so
+    # the chunked runs compact them many times over
+    monkeypatch.setattr(streaming, "_TABLE_SPAN", 0)
+    for size in CHUNK_SIZES:
+        feed = [(i, trace[i:i + size], _annotation_slice(annotations, i,
+                                                          size))
+                for i in range(0, length, size)]
+        chunked = streaming.run_fast_stream(feed, length, config,
+                                            name=trace.name)
+        assert_equivalent(chunked, ref)
+
+
+def _annotation_slice(ann: EventAnnotations, start: int,
+                      size: int) -> EventAnnotations:
+    part = slice(start, start + size)
+    return EventAnnotations(
+        fetch_stall=ann.fetch_stall[part],
+        load_extra=ann.load_extra[part],
+        long_miss=ann.long_miss[part],
+        mispredicted=ann.mispredicted[part],
+    )
 
 
 def test_equivalence_without_instrumentation(gzip_trace):

@@ -1,7 +1,7 @@
 """Streaming pipeline equivalence: chunked execution is bit-identical.
 
 The streaming functional pass, the streaming trace analyzer, and the
-ring-buffer streaming engine must reproduce the in-memory pipeline's
+chunk-fed detailed engine must reproduce the in-memory pipeline's
 outputs exactly — same cycles, same counts, same instrumentation, same
 profile, same telemetry — for every chunk size.  Chunk size is a memory
 knob, never a semantic one.
@@ -116,19 +116,70 @@ def test_streaming_warmup_passes_match():
         assert np.array_equal(got.long_miss_indices, ref.long_miss_indices)
 
 
+def _sweep_rename(trace) -> tuple[list[int], list[int]]:
+    """Renaming as a plain in-order sweep: each source maps to the latest
+    earlier writer of its register (the statement the vectorized renamer
+    is checked against)."""
+    from repro.isa.instruction import NO_REG
+    from repro.isa.opclass import OpClass, writes_register
+
+    producer: dict[int, int] = {}
+    dep1: list[int] = []
+    dep2: list[int] = []
+    for k in range(len(trace)):
+        for out, src in ((dep1, trace.src1[k]), (dep2, trace.src2[k])):
+            src = int(src)
+            out.append(-1 if src == NO_REG else producer.get(src, -1))
+        dst = int(trace.dst[k])
+        if dst != NO_REG and writes_register(OpClass(int(trace.opclass[k]))):
+            producer[dst] = k
+    return dep1, dep2
+
+
 def test_streaming_renamer_matches_whole_trace_rename():
     from repro.trace.trace import StreamingRenamer
 
     trace = ChunkedTraceGenerator(get_profile("twolf")).generate(6_000)
-    ref = trace.dependences()
-    renamer = StreamingRenamer()
-    parts = list(ChunkedTraceGenerator(get_profile("twolf"))
-                 .chunks(6_000, chunk_size=1009))
-    d1 = np.concatenate([renamer.rename_chunk(c).dep1 for c in parts])
-    renamer2 = StreamingRenamer()
-    d2 = np.concatenate([renamer2.rename_chunk(c).dep2 for c in parts])
-    assert np.array_equal(d1, ref.dep1)
-    assert np.array_equal(d2, ref.dep2)
+    ref1, ref2 = _sweep_rename(trace)
+    whole = trace.dependences()
+    assert whole.dep1.tolist() == ref1
+    assert whole.dep2.tolist() == ref2
+    for chunk_size in (1, 7, 1009):
+        renamer = StreamingRenamer()
+        parts = [renamer.rename_chunk(trace[i:i + chunk_size])
+                 for i in range(0, len(trace), chunk_size)]
+        assert np.concatenate([d.dep1 for d in parts]).tolist() == ref1
+        assert np.concatenate([d.dep2 for d in parts]).tolist() == ref2
+
+
+def test_engine_rejects_a_feed_that_does_not_cover_length():
+    """The feed must deliver exactly ``length`` instructions, in order."""
+    from repro.simulator.processor import DetailedSimulator
+    from repro.simulator.streaming import run_fast_stream
+
+    cfg = ProcessorConfig()
+    trace = generate_trace("gzip", 2_000)
+    ann = DetailedSimulator(cfg).annotate(trace)
+    whole = [(0, trace, ann)]
+    halves = [(0, trace[:1_000], _part(ann, 0, 1_000)),
+              (1_000, trace[1_000:], _part(ann, 1_000, 2_000))]
+    with pytest.raises(ValueError, match="ended after 2000 of 2500"):
+        run_fast_stream(whole, 2_500, cfg)
+    # a long feed used to simulate ``length`` instructions but total the
+    # miss events of every chunk it staged
+    with pytest.raises(ValueError, match="more than 1500"):
+        run_fast_stream(whole, 1_500, cfg)
+    with pytest.raises(ValueError, match="more than 1000"):
+        run_fast_stream(halves, 1_000, cfg)
+    with pytest.raises(ValueError, match="chunk at 1000 follows 0"):
+        run_fast_stream(halves[::-1], 2_000, cfg)
+    assert run_fast_stream(halves, 2_000, cfg).cycles == (
+        DetailedSimulator(cfg).run(trace, ann).cycles)
+
+
+def _part(ann, start, stop):
+    return type(ann)(ann.fetch_stall[start:stop], ann.load_extra[start:stop],
+                     ann.long_miss[start:stop], ann.mispredicted[start:stop])
 
 
 def test_execute_spec_streaming_matches_and_shares_result_key():
