@@ -5,30 +5,43 @@ The co-run reference path re-runs the paper's functional miss-event pass
 workload keeps its *private* L1I/L1D, branch predictor and counters, but
 all of them sit over **one** shared L2 :class:`~repro.memory.cache.Cache`
 (injected via ``CacheHierarchy(shared_l2=...)``).  Accesses hit the
-shared L2 in the merged order produced by
+shared L2 in the merged order given by
 :func:`repro.corun.interleave.interleave_order`, so each workload's
 long-miss population reflects the cache pressure of its co-runners —
 interference is modeled purely through cache state, never through shared
 counters.
 
+Interference enters only at the L2
+----------------------------------
+The hierarchy is non-inclusive, so no L1 outcome depends on L2 state,
+and the L1s and predictors are private: each workload's L1 hits and
+misses and its branch outcomes under contention are exactly its solo
+ones.  Each pass therefore runs the fast pass's private sweeps
+(:func:`~repro.frontend.fastpass.sweep_l1`,
+:func:`~repro.frontend.fastpass.sweep_branches`) per workload, merges
+the workloads' L1-miss references on their interleave keys, replays the
+merge on the shared L2 in one :func:`~repro.frontend.fastpass.sweep_l2`
+and scatters the hit flags back to each workload's tallies.
+
 Address disjointness
 --------------------
-Every workload's addresses (PCs and data) are offset by
-``index << ADDRESS_OFFSET_BITS`` before touching the hierarchy.  The
-offset is a multiple of every power-of-two cache size in play, so it
+Every workload's addresses are offset by ``index << ADDRESS_OFFSET_BITS``.
+The offset is a multiple of every power-of-two cache size in play, so it
 preserves each workload's set indices — a workload's private-L1 behavior
 and the L2 *access stream it emits* are identical to its solo run — while
-guaranteeing co-runners never share L2 tags.  With per-set LRU, the
-co-runners' extra accesses can only push a workload's blocks further down
-the stacks, so every solo L2 miss is also a contended miss: per-workload
-long-miss rates under contention are ≥ their solo rates by construction,
-which is the physical monotonicity the validation experiment asserts.
+guaranteeing co-runners never share L2 tags.  Only the L2 tag sees the
+offset (predictors index with ``(pc >> 2) & mask``, which the offset never
+reaches).  With per-set LRU, the co-runners' extra accesses can only push
+a workload's blocks further down the stacks, so every solo L2 miss is
+also a contended miss: per-workload long-miss rates under contention are
+≥ their solo rates by construction, which is the physical monotonicity
+the validation experiment asserts.
 
 Memory behavior
 ---------------
-The pass consumes each workload through a sequential chunk cursor — the
-merged order visits every workload's instructions strictly in program
-order, so O(chunk) trace memory suffices regardless of co-run length.
+Trace chunks are consumed one at a time, but a pass holds every
+workload's L1-miss references until the shared-L2 replay, plus the
+O(length) per-instruction annotations of the recording pass.
 """
 
 from __future__ import annotations
@@ -38,11 +51,20 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.branch.predictor import BranchPredictor
+from repro.corun.interleave import InterleaveKey
 from repro.frontend.collector import CollectorConfig
-from repro.frontend.events import EventAnnotations
-from repro.isa.opclass import OpClass
+from repro.frontend.fastpass import (
+    FastPassPlan,
+    PassTallies,
+    PrivateSweep,
+    settle_pass,
+    sweep_branches,
+    sweep_l1,
+    sweep_l2,
+)
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy
 from repro.trace.trace import Trace
 
 __all__ = ["ADDRESS_OFFSET_BITS", "ContentionResult", "WorkloadContention",
@@ -60,26 +82,15 @@ ChunkSource = Callable[[], Iterable[Trace]]
 class WorkloadContention:
     """One workload's miss-event counts under shared-L2 contention.
 
-    The fields mirror :class:`~repro.frontend.events.MissEventProfile`
-    (minus trace statistics, which belong to the trace itself, not the
-    contention pass) plus the workload's own share of shared-L2 traffic.
-    ``l2_accesses``/``l2_misses`` count *every* L2 probe this workload
-    issued during the recording pass — instruction fetches, loads and
-    stores — so the shared cache's counters reconcile exactly with the
-    per-workload sums.
+    ``tallies`` are the recording pass's counts and annotations, the
+    fields of a :class:`~repro.frontend.events.MissEventProfile` minus
+    trace statistics.  ``l2_accesses``/``l2_misses`` count *every* L2
+    probe this workload issued during the recording pass — instruction
+    fetches, loads and stores — so the shared cache's counters reconcile
+    exactly with the per-workload sums.
     """
 
-    branch_count: int
-    misprediction_count: int
-    misprediction_indices: np.ndarray
-    fetch_line_accesses: int
-    icache_short_count: int
-    icache_long_count: int
-    load_count: int
-    dcache_short_count: int
-    dcache_long_count: int
-    long_miss_indices: np.ndarray
-    annotations: EventAnnotations
+    tallies: PassTallies
     l2_accesses: int
     l2_misses: int
 
@@ -94,72 +105,65 @@ class ContentionResult:
     shared_l2_misses: int
 
 
-class _Cursor:
-    """Sequential scalar reader over a stream of Trace chunks."""
-
-    __slots__ = ("_chunks", "_pc", "_op", "_addr", "_taken", "_pos", "_len")
-
-    def __init__(self, chunks: Iterable[Trace]):
-        self._chunks = iter(chunks)
-        self._pc: list = []
-        self._op: list = []
-        self._addr: list = []
-        self._taken: list = []
-        self._pos = 0
-        self._len = 0
-
-    def next(self) -> tuple[int, int, int, bool]:
-        if self._pos == self._len:
-            chunk = next(self._chunks)  # StopIteration = caller bug
-            self._pc = chunk.pc.tolist()
-            self._op = chunk.opclass.tolist()
-            self._addr = chunk.addr.tolist()
-            self._taken = chunk.taken.tolist()
-            self._pos = 0
-            self._len = len(self._pc)
-        k = self._pos
-        self._pos = k + 1
-        return self._pc[k], self._op[k], self._addr[k], self._taken[k]
-
-
 def run_contended_pass(
     sources: list[ChunkSource],
     lengths: list[int],
-    order: np.ndarray,
+    order: InterleaveKey,
     config: CollectorConfig | None = None,
 ) -> ContentionResult:
     """Run the shared-L2 functional pass over a merged co-run.
 
-    ``sources[i]()`` must yield workload ``i``'s trace chunks from the
-    start — it is called once per warm-up pass and once for the recording
-    pass.  ``order`` is the merged issue order over all workloads
-    (:func:`~repro.corun.interleave.interleave_order`); warm-up passes
-    replay the same order, keeping cache and predictor state exactly as
-    the solo collector does.
+    ``sources[i]()`` must yield workload ``i``'s ``lengths[i]``
+    instructions as trace chunks from the start — it is called once per
+    warm-up pass and once for the recording pass.  ``order`` is the
+    interleave key (:func:`~repro.corun.interleave.interleave_order`);
+    warm-up passes replay the same order, keeping cache and predictor
+    state exactly as the solo collector does.
     """
     cfg = config or CollectorConfig()
     n_work = len(sources)
     if len(lengths) != n_work:
         raise ValueError("sources and lengths must align")
-    if len(order) != sum(lengths):
-        raise ValueError(
-            f"merged order covers {len(order)} slots but workloads total "
-            f"{sum(lengths)} instructions")
 
-    shared = Cache(cfg.hierarchy.l2, "L2(shared)")
+    l2 = cfg.hierarchy.l2
+    shared = Cache(l2, "L2(shared)")
     hierarchies = [CacheHierarchy(cfg.hierarchy, shared_l2=shared)
                    for _ in range(n_work)]
     predictors = [cfg.predictor_factory() for _ in range(n_work)]
-    order_list = order.tolist()
+    tag_offsets = [(w << ADDRESS_OFFSET_BITS) // (l2.line_bytes * l2.num_sets)
+                   for w in range(n_work)]
+
+    def one_pass(annotate: bool) -> list[WorkloadContention]:
+        sweeps = [_private_pass(w, sources[w], lengths[w], cfg,
+                                hierarchies[w], predictors[w])
+                  for w in range(n_work)]
+        refs = [np.array(s.idx, dtype=np.int64) for s in sweeps]
+        keys = np.concatenate([order(w, r) for w, r in enumerate(refs)])
+        # stable: key ties keep workload order, then program order
+        merge = np.argsort(keys, kind="stable")
+        sets = np.concatenate(
+            [np.array(s.l2_set, dtype=np.int64) for s in sweeps])
+        tags = np.concatenate(
+            [np.array(s.l2_tag, dtype=np.int64) + off
+             for s, off in zip(sweeps, tag_offsets)])
+        hits = np.empty(len(merge), dtype=np.bool_)
+        hits[merge] = sweep_l2(shared, sets[merge].tolist(),
+                               tags[merge].tolist())
+        bounds = np.cumsum([len(r) for r in refs])[:-1]
+        return [
+            WorkloadContention(
+                tallies=settle_pass(s, h, n, cfg, annotate),
+                l2_accesses=len(h),
+                l2_misses=len(h) - int(np.count_nonzero(h)),
+            )
+            for s, h, n in zip(sweeps, np.split(hits, bounds), lengths)
+        ]
 
     for _ in range(max(0, cfg.warmup_passes)):
-        _merged_pass(sources, lengths, order_list, cfg, hierarchies,
-                     predictors, record=False)
+        one_pass(annotate=False)
     before_accesses = shared.stats.accesses
     before_misses = shared.stats.misses
-    workloads = _merged_pass(sources, lengths, order_list, cfg, hierarchies,
-                             predictors, record=True)
-    assert workloads is not None
+    workloads = one_pass(annotate=True)
     return ContentionResult(
         workloads=workloads,
         shared_l2_accesses=shared.stats.accesses - before_accesses,
@@ -167,127 +171,24 @@ def run_contended_pass(
     )
 
 
-def _merged_pass(
-    sources: list[ChunkSource],
-    lengths: list[int],
-    order: list[int],
-    cfg: CollectorConfig,
-    hierarchies: list[CacheHierarchy],
-    predictors: list,
-    record: bool,
-) -> list[WorkloadContention] | None:
-    n_work = len(sources)
-    line = cfg.hierarchy.l1i.line_bytes
-    l2_lat = cfg.hierarchy.l2_latency
-    mem_lat = cfg.hierarchy.memory_latency
-    LOAD = int(OpClass.LOAD)
-    STORE = int(OpClass.STORE)
-    BRANCH = int(OpClass.BRANCH)
-
-    cursors = [_Cursor(source()) for source in sources]
-    offsets = [w << ADDRESS_OFFSET_BITS for w in range(n_work)]
-    last_lines = [-1] * n_work
-    pos = [0] * n_work
-
-    if record:
-        ann_fetch = [np.zeros(n, dtype=np.int32) for n in lengths]
-        ann_load = [np.zeros(n, dtype=np.int32) for n in lengths]
-        ann_long = [np.zeros(n, dtype=np.bool_) for n in lengths]
-        ann_misp = [np.zeros(n, dtype=np.bool_) for n in lengths]
-        branch_count = [0] * n_work
-        misp_count = [0] * n_work
-        misp_indices: list[list[int]] = [[] for _ in range(n_work)]
-        fetch_accesses = [0] * n_work
-        icache_short = [0] * n_work
-        icache_long = [0] * n_work
-        load_count = [0] * n_work
-        d_short = [0] * n_work
-        d_long = [0] * n_work
-        long_indices: list[list[int]] = [[] for _ in range(n_work)]
-        l2_accesses = [0] * n_work
-        l2_misses = [0] * n_work
-
-    for w in order:
-        pc, op, addr, taken = cursors[w].next()
-        pc += offsets[w]
-        hierarchy = hierarchies[w]
-        k = pos[w]
-        pos[w] = k + 1
-
-        fetch_line = pc // line
-        if fetch_line != last_lines[w]:
-            last_lines[w] = fetch_line
-            outcome = hierarchy.access_instruction(pc)
-            if record:
-                fetch_accesses[w] += 1
-                if outcome is not AccessOutcome.L1_HIT:
-                    l2_accesses[w] += 1
-                if outcome is AccessOutcome.L2_HIT:
-                    icache_short[w] += 1
-                    ann_fetch[w][k] = l2_lat
-                elif outcome is AccessOutcome.MEMORY:
-                    icache_long[w] += 1
-                    l2_misses[w] += 1
-                    ann_fetch[w][k] = mem_lat
-
-        if op == LOAD:
-            outcome = hierarchy.access_data(addr + offsets[w])
-            if record:
-                load_count[w] += 1
-                if outcome is not AccessOutcome.L1_HIT:
-                    l2_accesses[w] += 1
-                if outcome is AccessOutcome.L2_HIT:
-                    d_short[w] += 1
-                    ann_load[w][k] = l2_lat
-                elif outcome is AccessOutcome.MEMORY:
-                    d_long[w] += 1
-                    l2_misses[w] += 1
-                    long_indices[w].append(k)
-                    ann_load[w][k] = mem_lat
-                    ann_long[w][k] = True
-        elif op == STORE:
-            # stores touch cache state but never produce miss-events,
-            # exactly as in the solo collector's reference pass
-            outcome = hierarchy.access_data(addr + offsets[w])
-            if record:
-                if outcome is not AccessOutcome.L1_HIT:
-                    l2_accesses[w] += 1
-                if outcome is AccessOutcome.MEMORY:
-                    l2_misses[w] += 1
-        elif op == BRANCH:
-            if cfg.ideal_predictor:
-                correct = True
-            else:
-                correct = predictors[w].observe(pc, bool(taken))
-            if record:
-                branch_count[w] += 1
-                if not correct:
-                    misp_count[w] += 1
-                    misp_indices[w].append(k)
-                    ann_misp[w][k] = True
-
-    if pos != list(lengths):
-        raise ValueError(f"merged order consumed {pos}, expected {lengths}")
-    if not record:
-        return None
-    return [
-        WorkloadContention(
-            branch_count=branch_count[w],
-            misprediction_count=misp_count[w],
-            misprediction_indices=np.array(misp_indices[w], dtype=np.int64),
-            fetch_line_accesses=fetch_accesses[w],
-            icache_short_count=icache_short[w],
-            icache_long_count=icache_long[w],
-            load_count=load_count[w],
-            dcache_short_count=d_short[w],
-            dcache_long_count=d_long[w],
-            long_miss_indices=np.array(long_indices[w], dtype=np.int64),
-            annotations=EventAnnotations(
-                fetch_stall=ann_fetch[w], load_extra=ann_load[w],
-                long_miss=ann_long[w], mispredicted=ann_misp[w],
-            ),
-            l2_accesses=l2_accesses[w],
-            l2_misses=l2_misses[w],
-        )
-        for w in range(n_work)
-    ]
+def _private_pass(w: int, source: ChunkSource, length: int,
+                  cfg: CollectorConfig, hierarchy: CacheHierarchy,
+                  predictor: BranchPredictor) -> PrivateSweep:
+    """Workload ``w``'s private L1 and branch sweeps over one pass of
+    its chunks, which must total exactly ``length`` instructions."""
+    sweep = PrivateSweep()
+    base = 0
+    last_line: int | None = None
+    for chunk in source():
+        if base + len(chunk) > length:
+            raise ValueError(f"source {w} served more than {length} "
+                             "instructions")
+        plan = FastPassPlan(chunk, cfg, prev_line=last_line)
+        sweep_l1(plan, hierarchy, sweep, base)
+        sweep_branches(plan, cfg, predictor, sweep, base)
+        base += len(chunk)
+        last_line = plan.last_line
+    if base != length:
+        raise ValueError(f"source {w} served {base} of {length} "
+                         "instructions")
+    return sweep

@@ -25,28 +25,36 @@ merge, which is what makes co-run results content-addressable.
 
 from __future__ import annotations
 
-import heapq
+from typing import Callable
 
 import numpy as np
 
 from repro.spec.corun import InterleaveSpec
 from repro.spec.specs import SpecError
 
-__all__ = ["interleave_order"]
+__all__ = ["InterleaveKey", "interleave_order"]
+
+#: ``key(w, idx)``: the merge key of workload ``w``'s instructions at the
+#: ascending trace indices ``idx``
+InterleaveKey = Callable[[int, np.ndarray], np.ndarray]
+
+#: instructions per cumsum block of the ``cpi`` key (bounds its memory)
+_VTIME_BLOCK = 1 << 16
 
 
 def interleave_order(
     lengths: list[int] | tuple[int, ...],
     spec: InterleaveSpec | None = None,
     weights: list[float] | tuple[float, ...] | None = None,
-) -> np.ndarray:
-    """The merged issue order for a co-run.
+) -> InterleaveKey:
+    """The merged issue order for a co-run, as a sort key.
 
-    Returns an ``int32`` array of ``sum(lengths)`` workload indices;
-    position ``t`` names the workload whose next-in-order instruction is
-    the ``t``-th access the shared hierarchy observes.  Every workload's
-    own instructions appear strictly in its program order — the merge
-    only decides how the streams shuffle together.
+    The merged order is the stable sort of every workload's instructions
+    on ``(key(w, i), w)``: instruction ``i`` of workload ``w`` is the
+    ``t``-th access the shared hierarchy observes when ``t`` instructions
+    sort before it.  Keys never decrease along a workload's program
+    order, so every workload's own instructions stay in order — the
+    merge only decides how the streams shuffle together.
 
     ``weights`` are the per-workload virtual-time costs per instruction
     for the ``cpi`` policy (solo CPIs in practice; ``None`` means equal
@@ -58,44 +66,36 @@ def interleave_order(
     if any(n < 1 for n in lengths):
         raise SpecError("interleave lengths must be positive")
     if spec.policy == "cpi":
-        return _cpi_order(lengths, weights)
-    return _round_robin_order(lengths, spec.quantum)
+        if weights is None:
+            weights = [1.0] * len(lengths)
+        if len(weights) != len(lengths):
+            raise SpecError("interleave weights must match workload count")
+        if any(not (w > 0.0) for w in weights):
+            raise SpecError("interleave weights must be positive")
+        weights = [float(w) for w in weights]
+        return lambda w, idx: _virtual_time(weights[w], idx)
+    quantum = spec.quantum
+    return lambda w, idx: idx // quantum
 
 
-def _cpi_order(lengths, weights) -> np.ndarray:
-    if weights is None:
-        weights = [1.0] * len(lengths)
-    if len(weights) != len(lengths):
-        raise SpecError("interleave weights must match workload count")
-    if any(not (w > 0.0) for w in weights):
-        raise SpecError("interleave weights must be positive")
-    total = sum(lengths)
-    order = np.empty(total, dtype=np.int32)
-    remaining = list(lengths)
-    # (virtual time consumed, workload index): heap order breaks virtual-
-    # time ties by lowest index, so the merge is fully deterministic
-    heap = [(0.0, i) for i in range(len(lengths))]
-    heapq.heapify(heap)
-    for t in range(total):
-        vtime, i = heapq.heappop(heap)
-        order[t] = i
-        remaining[i] -= 1
-        if remaining[i]:
-            heapq.heappush(heap, (vtime + weights[i], i))
-    return order
+def _virtual_time(weight: float, idx: np.ndarray) -> np.ndarray:
+    """Virtual time consumed before each instruction in ``idx``.
 
-
-def _round_robin_order(lengths, quantum: int) -> np.ndarray:
-    total = sum(lengths)
-    order = np.empty(total, dtype=np.int32)
-    remaining = list(lengths)
-    t = 0
-    while t < total:
-        for i in range(len(lengths)):
-            take = min(quantum, remaining[i])
-            if not take:
-                continue
-            order[t:t + take] = i
-            remaining[i] -= take
-            t += take
-    return order
+    The time before instruction ``i`` is ``weight`` added ``i`` times in
+    sequence — bit for bit the running sum a per-instruction loop keeps,
+    which ``i * weight`` is not.  ``np.cumsum`` adds sequentially, one
+    fixed-size block at a time, carrying the running sum across blocks.
+    """
+    out = np.empty(len(idx), dtype=np.float64)
+    block = np.full(_VTIME_BLOCK, weight)
+    carry = 0.0
+    start = lo = 0
+    while lo < len(idx):
+        block[0] = carry  # the time before instruction ``start``
+        vtime = np.cumsum(block)
+        hi = int(np.searchsorted(idx, start + _VTIME_BLOCK))
+        out[lo:hi] = vtime[idx[lo:hi] - start]
+        carry = vtime[-1] + weight
+        start += _VTIME_BLOCK
+        lo = hi
+    return out

@@ -13,10 +13,11 @@ The result is a plain JSON-safe dict, cached in the artifact store under
 in-process, via the CLI, or submitted through the service, so co-runs
 coalesce and shard exactly like single-workload runs.
 
-Memory: the contended functional pass streams each workload's trace in
-O(chunk) memory.  The per-workload *timing* simulations and the IW-curve
-fit operate on one materialized workload trace at a time (never on the
-merged co-run), so peak memory is one workload's trace, not the co-run's.
+Memory: the contended functional pass reads each workload's trace one
+chunk at a time, but holds one pass's L1-miss references of every
+workload plus the O(length) annotations.  The per-workload *timing*
+simulations and the IW-curve fit operate on one materialized workload
+trace at a time (never on the merged co-run).
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def run_corun(spec: CoRunSpec, reuse: bool = True,
     ``reuse=True`` serves a stored result for the identical spec and
     stores fresh computes; ``reuse=False`` recomputes unconditionally.
     ``stream=True`` feeds the contended pass from the chunk store
-    (O(chunk) trace memory) instead of materialized traces — the result
-    is bit-identical either way, an equivalence the test suite enforces.
+    instead of materialized traces — the result is bit-identical either
+    way, an equivalence the test suite enforces.
     """
     from repro.runner import artifacts
 
@@ -55,7 +56,6 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
     from repro.core.model import FirstOrderModel
     from repro.core.steady_state import build_characteristic
     from repro.frontend.collector import CollectorConfig
-    from repro.frontend.events import MissEventProfile
     from repro.runner.artifacts import trace_artifact, trace_chunk_stream
     from repro.runner.pool import execute_spec
     from repro.simulator.processor import DetailedSimulator
@@ -115,27 +115,13 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
             zip(workloads, contention.workloads)):
         trace = trace_artifact(workload.benchmark, workload.length,
                                workload.resolved_seed())
-        profile = MissEventProfile(
-            name=trace.name,
-            length=len(trace),
-            branch_count=counts.branch_count,
-            misprediction_count=counts.misprediction_count,
-            misprediction_indices=counts.misprediction_indices,
-            fetch_line_accesses=counts.fetch_line_accesses,
-            icache_short_count=counts.icache_short_count,
-            icache_long_count=counts.icache_long_count,
-            load_count=counts.load_count,
-            dcache_short_count=counts.dcache_short_count,
-            dcache_long_count=counts.dcache_long_count,
-            long_miss_indices=counts.long_miss_indices,
-            trace_stats=analyze_trace(trace),
-            annotations=counts.annotations,
-        )
+        profile = counts.tallies.profile(trace.name, len(trace),
+                                         analyze_trace(trace))
 
         # detailed co-run timing: the workload's own trace driven by its
         # contention-elevated annotations, with the telemetry accountant
         sim = DetailedSimulator(config, instrument=False, telemetry=True)
-        result = sim.run(trace, counts.annotations)
+        result = sim.run(trace, profile.annotations)
         assert sim.last_telemetry is not None
         stack = sim.last_telemetry.report.stack
 
@@ -143,8 +129,8 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
             profile, build_characteristic(trace, config, profile))
 
         solo_result = solo[i]
-        solo_rate = (solo_result.dcache_long_count / counts.load_count
-                     if counts.load_count else 0.0)
+        solo_rate = (solo_result.dcache_long_count / profile.load_count
+                     if profile.load_count else 0.0)
         corun_rate = profile.long_miss_rate_per_load
         rows.append({
             "benchmark": workload.benchmark,

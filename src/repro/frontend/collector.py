@@ -61,8 +61,8 @@ class CollectorConfig:
 class MissEventCollector:
     """Runs the functional pass and produces a :class:`MissEventProfile`.
 
-    Two interchangeable engines produce bit-identical profiles, cache
-    states and statistics: the *reference* pass below walks the trace one
+    Two interchangeable engines produce bit-identical profiles and cache
+    states: the *reference* pass below walks the trace one
     instruction at a time, the *fast* pass
     (:mod:`repro.frontend.fastpass`) sweeps precomputed index arrays.
     The fast pass is the default; see :func:`repro.fastpath.default_engine`.
@@ -94,26 +94,8 @@ class MissEventCollector:
             tallies = run_fast_pass(plan, trace, cfg, hierarchy, predictor,
                                     record=True, annotate=annotate)
             assert tallies is not None
-            return MissEventProfile(
-                name=trace.name,
-                length=len(trace),
-                branch_count=tallies.branch_count,
-                misprediction_count=tallies.misprediction_count,
-                misprediction_indices=np.array(
-                    tallies.misprediction_indices, dtype=np.int64
-                ),
-                fetch_line_accesses=tallies.fetch_line_accesses,
-                icache_short_count=tallies.icache_short_count,
-                icache_long_count=tallies.icache_long_count,
-                load_count=tallies.load_count,
-                dcache_short_count=tallies.dcache_short_count,
-                dcache_long_count=tallies.dcache_long_count,
-                long_miss_indices=np.array(
-                    tallies.long_miss_indices, dtype=np.int64
-                ),
-                trace_stats=analyze_trace(trace),
-                annotations=tallies.annotations,
-            )
+            return tallies.profile(trace.name, len(trace),
+                                   analyze_trace(trace))
 
         for _ in range(max(0, cfg.warmup_passes)):
             self._pass_reference(trace, hierarchy, predictor, record=False)

@@ -3,43 +3,50 @@
 The reference pass (:meth:`MissEventCollector._pass_reference`) walks the
 trace one instruction at a time, calling into the cache-hierarchy and
 branch-predictor objects for every reference.  This module implements the
-same pass as two specialised sweeps over *precomputed* index arrays:
+same pass as specialised sweeps over *precomputed* index arrays:
 
-* **Memory sweep.**  Only instructions that touch cache state matter:
-  fetch-line transitions and loads/stores.  Their set indices and tags
-  (for L1I, L1D and the unified L2) are computed up front with numpy;
-  the Python loop then runs only over this compact index list with the
-  LRU update inlined (operating directly on the ``Cache._sets`` state of
-  the hierarchy, so external observers see identical cache contents and
-  statistics).  Because the L2 is unified, instruction- and data-stream
-  references must stay in trace order relative to each other — they do,
-  since the sweep visits trace indices in order and handles a
-  transition-and-load instruction I-side first, exactly like the
-  reference.
-* **Branch sweep.**  gShare's global history is a sliding window over
-  the *outcome* bits, independent of its predictions — so the whole
-  per-branch table-index sequence is vectorizable.  The remaining loop
-  only steps the 2-bit counters (whose chains per table entry are the
-  one truly sequential part) and tallies mispredictions.  Non-gShare
-  predictors fall back to the generic per-branch ``observe`` call.
+* **L1 sweep** (:func:`sweep_l1`).  Only instructions that touch cache
+  state matter: fetch-line transitions and loads/stores.  Their set
+  indices and tags (for L1I, L1D and the unified L2) are computed up
+  front with numpy; the Python loop then runs only over this compact
+  index list with the LRU update inlined (operating directly on the
+  ``Cache._sets`` state, so external observers see identical cache
+  contents).  It emits every L1 miss as an L2 reference,
+  in trace order and I-side before D-side within an instruction —
+  exactly the order in which the reference pass probes the unified L2.
+* **L2 sweep** (:func:`sweep_l2`).  The hierarchy is non-inclusive: no
+  L1 outcome depends on L2 state, so the L2 can replay the L1 sweep's
+  references afterwards in one LRU sweep.  The co-run pass
+  (:mod:`repro.corun.contention`) relies on the same split: it merges
+  several workloads' references and replays them on one shared L2.
+* **Branch sweep** (:func:`sweep_branches`).  gShare's global history is
+  a sliding window over the *outcome* bits, independent of its
+  predictions — so the whole per-branch table-index sequence is
+  vectorizable.  The remaining loop only steps the 2-bit counters (whose
+  chains per table entry are the one truly sequential part) and records
+  mispredictions.  Non-gShare predictors fall back to the generic
+  per-branch ``observe`` call.
 
-A :class:`FastPassPlan` captures everything that depends only on the
-trace and the collector configuration, so warm-up and measurement passes
-share one precomputation.
+:func:`settle_pass` turns the references and their L2 hit flags into the
+pass's :class:`PassTallies`.  A :class:`FastPassPlan` captures everything
+that depends only on the trace and the collector configuration, so
+warm-up and measurement passes share one precomputation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.branch.gshare import GShare
 from repro.branch.predictor import BranchPredictor
-from repro.frontend.events import EventAnnotations
+from repro.frontend.events import EventAnnotations, MissEventProfile
 from repro.isa.opclass import OpClass
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import CacheHierarchy
+from repro.trace.analysis import TraceStatistics
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,6 +69,29 @@ class PassTallies:
     dcache_long_count: int
     long_miss_indices: list[int]
     annotations: EventAnnotations | None
+
+    def profile(self, name: str, length: int,
+                trace_stats: TraceStatistics) -> MissEventProfile:
+        """The :class:`MissEventProfile` of a ``length``-instruction
+        trace these tallies cover."""
+        return MissEventProfile(
+            name=name,
+            length=length,
+            branch_count=self.branch_count,
+            misprediction_count=self.misprediction_count,
+            misprediction_indices=np.array(self.misprediction_indices,
+                                           dtype=np.int64),
+            fetch_line_accesses=self.fetch_line_accesses,
+            icache_short_count=self.icache_short_count,
+            icache_long_count=self.icache_long_count,
+            load_count=self.load_count,
+            dcache_short_count=self.dcache_short_count,
+            dcache_long_count=self.dcache_long_count,
+            long_miss_indices=np.array(self.long_miss_indices,
+                                       dtype=np.int64),
+            trace_stats=trace_stats,
+            annotations=self.annotations,
+        )
 
 
 class FastPassPlan:
@@ -96,9 +126,8 @@ class FastPassPlan:
         is_load = op == int(OpClass.LOAD)
         is_store = op == int(OpClass.STORE)
         self.n_loads = int(is_load.sum())
-        self.n_stores = int(is_store.sum())
 
-        # the memory sweep visits only indices whose stream is actually
+        # the L1 sweep visits only indices whose stream is actually
         # simulated; ideal streams are tallied in bulk instead
         sel = np.zeros(n, dtype=bool)
         if not hier.ideal_icache:
@@ -171,43 +200,44 @@ def _gshare_history(
     return hist, final & hmask
 
 
-def run_fast_pass(
-    plan: FastPassPlan,
-    trace: Trace,
-    config: "CollectorConfig",
-    hierarchy: CacheHierarchy,
-    predictor: BranchPredictor,
-    record: bool,
-    annotate: bool = False,
-) -> PassTallies | None:
-    """One functional pass over ``trace`` using the precomputed ``plan``.
+#: kind of an L1-miss reference to the L2 (loads and stores share the
+#: plan's ``dop`` codes)
+FETCH, LOAD, STORE = 0, 1, 2
 
-    Mutates ``hierarchy`` and ``predictor`` (state *and* statistics)
-    exactly as the reference pass does; returns tallies when ``record``.
+
+@dataclass
+class PrivateSweep:
+    """What one pass learns from a workload's private state.
+
+    The L1s and the branch predictor never depend on the L2, so a pass
+    splits into private sweeps (L1 and branch, chunk by chunk) and one
+    L2 sweep over the collected references.  ``idx``/``kind``/``l2_set``/
+    ``l2_tag`` list the L1-miss references to the L2 in program order,
+    the I-side reference of an instruction before its D-side one.
     """
-    hier_cfg = config.hierarchy
-    l2_lat = hier_cfg.l2_latency
-    mem_lat = hier_cfg.memory_latency
-    n = len(trace)
 
-    ann_fetch = ann_load = ann_long = ann_misp = None
-    if annotate:
-        ann_fetch = np.zeros(n, dtype=np.int32)
-        ann_load = np.zeros(n, dtype=np.int32)
-        ann_long = np.zeros(n, dtype=np.bool_)
-        ann_misp = np.zeros(n, dtype=np.bool_)
+    idx: list[int] = field(default_factory=list)
+    kind: list[int] = field(default_factory=list)
+    l2_set: list[int] = field(default_factory=list)
+    l2_tag: list[int] = field(default_factory=list)
+    fetches: int = 0
+    loads: int = 0
+    branches: int = 0
+    misp: list[int] = field(default_factory=list)
 
-    # ---- memory sweep (L1I / L1D over the unified L2, in trace order) ----
+
+def sweep_l1(plan: FastPassPlan, hierarchy: CacheHierarchy,
+             out: PrivateSweep, base: int = 0) -> None:
+    """Walk ``plan.mem_idx`` over the private L1I/L1D, appending each L1
+    miss to ``out`` as an L2 reference at trace index ``base + i``."""
     isets = hierarchy.l1i._sets
     dsets = hierarchy.l1d._sets
-    l2sets = hierarchy.l2._sets
-    iassoc = hier_cfg.l1i.associativity
-    dassoc = hier_cfg.l1d.associativity
-    l2assoc = hier_cfg.l2.associativity
-    i_hit = i_short = i_long = 0
-    d_hit = d_short_all = d_long_all = 0
-    d_short_ld = d_long_ld = 0
-    long_indices: list[int] = []
+    iassoc = hierarchy.l1i.geometry.associativity
+    dassoc = hierarchy.l1d.geometry.associativity
+    ref_idx = out.idx.append
+    ref_kind = out.kind.append
+    ref_set = out.l2_set.append
+    ref_tag = out.l2_tag.append
 
     mem_idx = plan.mem_idx
     trf = plan.tr_flag
@@ -225,169 +255,170 @@ def run_fast_pass(
         if trf[i]:
             tags = isets[iset[i]]
             tag = itag[i]
-            if tags and tags[0] == tag:
-                i_hit += 1
-            elif tag in tags:
-                tags.remove(tag)
-                tags.insert(0, tag)
-                i_hit += 1
+            if tag in tags:
+                if tags[0] != tag:
+                    tags.remove(tag)
+                    tags.insert(0, tag)
             else:
                 tags.insert(0, tag)
                 if len(tags) > iassoc:
                     tags.pop()
-                t2 = l2sets[i2set[i]]
-                tg2 = i2tag[i]
-                if t2 and t2[0] == tg2:
-                    hit2 = True
-                elif tg2 in t2:
-                    t2.remove(tg2)
-                    t2.insert(0, tg2)
-                    hit2 = True
-                else:
-                    t2.insert(0, tg2)
-                    if len(t2) > l2assoc:
-                        t2.pop()
-                    hit2 = False
-                if hit2:
-                    i_short += 1
-                    if annotate:
-                        ann_fetch[mem_idx[i]] = l2_lat
-                else:
-                    i_long += 1
-                    if annotate:
-                        ann_fetch[mem_idx[i]] = mem_lat
+                ref_idx(base + mem_idx[i])
+                ref_kind(FETCH)
+                ref_set(i2set[i])
+                ref_tag(i2tag[i])
         d = dop[i]
         if d:
             tags = dsets[dset[i]]
             tag = dtag[i]
-            if tags and tags[0] == tag:
-                d_hit += 1
-            elif tag in tags:
-                tags.remove(tag)
-                tags.insert(0, tag)
-                d_hit += 1
+            if tag in tags:
+                if tags[0] != tag:
+                    tags.remove(tag)
+                    tags.insert(0, tag)
             else:
                 tags.insert(0, tag)
                 if len(tags) > dassoc:
                     tags.pop()
-                t2 = l2sets[d2set[i]]
-                tg2 = d2tag[i]
-                if t2 and t2[0] == tg2:
-                    hit2 = True
-                elif tg2 in t2:
-                    t2.remove(tg2)
-                    t2.insert(0, tg2)
-                    hit2 = True
-                else:
-                    t2.insert(0, tg2)
-                    if len(t2) > l2assoc:
-                        t2.pop()
-                    hit2 = False
-                if hit2:
-                    d_short_all += 1
-                    if d == 1:
-                        d_short_ld += 1
-                        if annotate:
-                            ann_load[mem_idx[i]] = l2_lat
-                else:
-                    d_long_all += 1
-                    if d == 1:
-                        d_long_ld += 1
-                        long_indices.append(mem_idx[i])
-                        if annotate:
-                            ann_load[mem_idx[i]] = mem_lat
-                            ann_long[mem_idx[i]] = True
+                ref_idx(base + mem_idx[i])
+                ref_kind(d)
+                ref_set(d2set[i])
+                ref_tag(d2tag[i])
 
-    # ---- statistics, settled in bulk (end-of-pass state is what the
-    # reference exposes; nothing observes mid-pass counters) -------------
-    ist = hierarchy.istats
-    if hier_cfg.ideal_icache:
-        ist.l1_hits += plan.n_transitions
-    else:
-        ist.l1_hits += i_hit
-        ist.short_misses += i_short
-        ist.long_misses += i_long
-        cs = hierarchy.l1i.stats
-        cs.accesses += plan.n_transitions
-        cs.misses += i_short + i_long
-    dst = hierarchy.dstats
-    n_data = plan.n_loads + plan.n_stores
-    if hier_cfg.ideal_dcache:
-        dst.l1_hits += n_data
-    else:
-        dst.l1_hits += d_hit
-        dst.short_misses += d_short_all
-        dst.long_misses += d_long_all
-        cs = hierarchy.l1d.stats
-        cs.accesses += n_data
-        cs.misses += d_short_all + d_long_all
-    cs = hierarchy.l2.stats
-    cs.accesses += i_short + i_long + d_short_all + d_long_all
-    cs.misses += i_long + d_long_all
+    out.fetches += plan.n_transitions
+    out.loads += plan.n_loads
 
-    # ---- branch sweep ---------------------------------------------------
+
+def sweep_l2(cache: Cache, sets: list[int], tags: list[int]) -> np.ndarray:
+    """One LRU sweep of ``cache`` over the references ``(sets[k],
+    tags[k])`` in order; returns the per-reference hit flags and settles
+    the cache's statistics."""
+    l2sets = cache._sets
+    assoc = cache.geometry.associativity
+    hits = bytearray(len(sets))
+    for k in range(len(sets)):
+        t2 = l2sets[sets[k]]
+        tg2 = tags[k]
+        if tg2 in t2:
+            hits[k] = 1
+            if t2[0] != tg2:
+                t2.remove(tg2)
+                t2.insert(0, tg2)
+        else:
+            t2.insert(0, tg2)
+            if len(t2) > assoc:
+                t2.pop()
+    flags = np.frombuffer(hits, dtype=np.bool_)
+    cache.stats.accesses += len(sets)
+    cache.stats.misses += len(sets) - int(np.count_nonzero(flags))
+    return flags
+
+
+def sweep_branches(plan: FastPassPlan, config: "CollectorConfig",
+                   predictor: BranchPredictor, out: PrivateSweep,
+                   base: int = 0) -> None:
+    """Step ``predictor`` through the plan's branches, appending each
+    misprediction's trace index ``base + i`` to ``out.misp``."""
     branch_idx = plan.branch_idx
     num_b = len(branch_idx)
-    misp_count = 0
-    misp_indices: list[int] = []
-    if num_b and not config.ideal_predictor:
-        taken_l = plan.branch_taken_list
-        if type(predictor) is GShare:
-            hist, final_hist = _gshare_history(predictor, plan.branch_taken)
-            idx = (
-                ((plan.branch_pc >> 2) ^ hist) & predictor._index_mask
-            ).tolist()
-            tbl = predictor._table.tolist()
-            for j in range(num_b):
-                ix = idx[j]
-                c = tbl[ix]
-                if taken_l[j]:
-                    if c < 2:  # predicted not-taken: mispredict
-                        misp_count += 1
-                        misp_indices.append(branch_idx[j])
-                        if annotate:
-                            ann_misp[branch_idx[j]] = True
-                    if c < 3:
-                        tbl[ix] = c + 1
-                else:
-                    if c >= 2:  # predicted taken: mispredict
-                        misp_count += 1
-                        misp_indices.append(branch_idx[j])
-                        if annotate:
-                            ann_misp[branch_idx[j]] = True
-                    if c:
-                        tbl[ix] = c - 1
-            predictor._table[:] = tbl
-            predictor._history = final_hist
-            predictor.stats.predictions += num_b
-            predictor.stats.mispredictions += misp_count
-        else:
-            pcs = plan.branch_pc_list
-            for j in range(num_b):
-                if not predictor.observe(pcs[j], bool(taken_l[j])):
+    out.branches += num_b
+    if not num_b or config.ideal_predictor:
+        return
+    misp = out.misp.append
+    taken_l = plan.branch_taken_list
+    if type(predictor) is GShare:
+        hist, final_hist = _gshare_history(predictor, plan.branch_taken)
+        idx = (((plan.branch_pc >> 2) ^ hist)
+               & predictor._index_mask).tolist()
+        tbl = predictor._table.tolist()
+        misp_count = 0
+        for j in range(num_b):
+            ix = idx[j]
+            c = tbl[ix]
+            if taken_l[j]:
+                if c < 2:  # predicted not-taken: mispredict
                     misp_count += 1
-                    misp_indices.append(branch_idx[j])
-                    if annotate:
-                        ann_misp[branch_idx[j]] = True
+                    misp(base + branch_idx[j])
+                if c < 3:
+                    tbl[ix] = c + 1
+            else:
+                if c >= 2:  # predicted taken: mispredict
+                    misp_count += 1
+                    misp(base + branch_idx[j])
+                if c:
+                    tbl[ix] = c - 1
+        predictor._table[:] = tbl
+        predictor._history = final_hist
+        predictor.stats.predictions += num_b
+        predictor.stats.mispredictions += misp_count
+    else:
+        pcs = plan.branch_pc_list
+        for j in range(num_b):
+            if not predictor.observe(pcs[j], bool(taken_l[j])):
+                misp(base + branch_idx[j])
 
-    if not record:
-        return None
+
+def settle_pass(sweep: PrivateSweep, hits: np.ndarray, length: int,
+                config: "CollectorConfig",
+                annotate: bool = False) -> PassTallies:
+    """Turn one pass's references and their L2 hit flags into the pass's
+    tallies, annotated over ``length`` instructions when ``annotate``."""
+    hier_cfg = config.hierarchy
+    idx = np.array(sweep.idx, dtype=np.int64)
+    kind = np.array(sweep.kind, dtype=np.int8)
+    fetch = kind == FETCH
+    load = kind == LOAD
+    long_load = load & ~hits
+
     annotations = None
     if annotate:
+        lat = np.where(hits, hier_cfg.l2_latency, hier_cfg.memory_latency)
+        fetch_stall = np.zeros(length, dtype=np.int32)
+        fetch_stall[idx[fetch]] = lat[fetch]
+        load_extra = np.zeros(length, dtype=np.int32)
+        load_extra[idx[load]] = lat[load]
+        long_miss = np.zeros(length, dtype=np.bool_)
+        long_miss[idx[long_load]] = True
+        mispredicted = np.zeros(length, dtype=np.bool_)
+        mispredicted[sweep.misp] = True
         annotations = EventAnnotations(
-            fetch_stall=ann_fetch, load_extra=ann_load,
-            long_miss=ann_long, mispredicted=ann_misp,
+            fetch_stall=fetch_stall, load_extra=load_extra,
+            long_miss=long_miss, mispredicted=mispredicted,
         )
     return PassTallies(
-        branch_count=num_b,
-        misprediction_count=misp_count,
-        misprediction_indices=misp_indices,
-        fetch_line_accesses=plan.n_transitions,
-        icache_short_count=i_short,
-        icache_long_count=i_long,
-        load_count=plan.n_loads,
-        dcache_short_count=d_short_ld,
-        dcache_long_count=d_long_ld,
-        long_miss_indices=long_indices,
+        branch_count=sweep.branches,
+        misprediction_count=len(sweep.misp),
+        misprediction_indices=sweep.misp,
+        fetch_line_accesses=sweep.fetches,
+        icache_short_count=int(np.count_nonzero(fetch & hits)),
+        icache_long_count=int(np.count_nonzero(fetch & ~hits)),
+        load_count=sweep.loads,
+        dcache_short_count=int(np.count_nonzero(load & hits)),
+        dcache_long_count=int(np.count_nonzero(long_load)),
+        long_miss_indices=idx[long_load].tolist(),
         annotations=annotations,
     )
+
+
+def run_fast_pass(
+    plan: FastPassPlan,
+    trace: Trace,
+    config: "CollectorConfig",
+    hierarchy: CacheHierarchy,
+    predictor: BranchPredictor,
+    record: bool,
+    annotate: bool = False,
+) -> PassTallies | None:
+    """One functional pass over ``trace`` using the precomputed ``plan``.
+
+    Mutates the cache and predictor state of ``hierarchy`` and
+    ``predictor`` exactly as the reference pass does, and the L2's and
+    the predictor's statistics (the private L1 and per-stream counters,
+    which nothing reads after a pass, are left alone); returns tallies
+    when ``record``.
+    """
+    sweep = PrivateSweep()
+    sweep_l1(plan, hierarchy, sweep)
+    hits = sweep_l2(hierarchy.l2, sweep.l2_set, sweep.l2_tag)
+    sweep_branches(plan, config, predictor, sweep)
+    tallies = settle_pass(sweep, hits, len(trace), config, annotate)
+    return tallies if record else None

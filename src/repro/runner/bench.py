@@ -622,9 +622,9 @@ def bench_ingestion(benchmarks, length: int, runs: int,
     }
 
 
-#: trace length cap for the co-run scenario — the contended pass walks
-#: the merged stream one instruction at a time, so the scenario stays
-#: bounded regardless of the bench's headline length
+#: trace length cap for the co-run scenario — its two solo baselines and
+#: two detailed co-run simulations stay bounded regardless of the bench's
+#: headline length
 CORUN_BENCH_LENGTH = 10_000
 
 
