@@ -32,9 +32,7 @@ LENGTH = 30_000
 def suite():
     """(trace, profile, characteristic, simulated CPI) per benchmark."""
     rows = {}
-    collector = MissEventCollector(
-        CollectorConfig(hierarchy=BASELINE.hierarchy)
-    )
+    collector = MissEventCollector(CollectorConfig.of(BASELINE))
     for name in BENCHMARK_ORDER:
         trace = generate_trace(name, LENGTH)
         profile = collector.collect(trace)
@@ -117,9 +115,7 @@ def test_ablation_functional_warming(suite, benchmark):
         errors = {}
         for passes in (0, 1):
             collector = MissEventCollector(
-                CollectorConfig(hierarchy=BASELINE.hierarchy,
-                                warmup_passes=passes)
-            )
+                CollectorConfig.of(BASELINE, warmup_passes=passes))
             ests, refs = [], []
             for name, (trace, _, ch, sim_cpi) in suite.items():
                 profile = collector.collect(trace)

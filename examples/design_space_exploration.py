@@ -46,7 +46,7 @@ def main() -> None:
     profile = collect_events(trace)
     fit = fit_curve(measure_iw_curve(trace))
     latency = profile.effective_mean_latency(
-        BASELINE.latencies, BASELINE.hierarchy.l2_latency
+        BASELINE.latency_table, BASELINE.hierarchy.l2_latency
     )
 
     t0 = time.perf_counter()

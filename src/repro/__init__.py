@@ -16,7 +16,7 @@ Quickstart::
     print(report.cpi, reference.cpi)
 """
 
-from repro.config import ProcessorConfig, BASELINE
+from repro.config import BASELINE, MachineSpec
 from repro.core import (
     FirstOrderModel,
     ModelReport,
@@ -54,7 +54,7 @@ from repro.window import IWCharacteristic, measure_iw_curve, fit_curve
 __version__ = "1.0.0"
 
 __all__ = [
-    "ProcessorConfig",
+    "MachineSpec",
     "BASELINE",
     "FirstOrderModel",
     "ModelReport",

@@ -194,8 +194,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         return 0
     workload = spec.workload
     trace = _workload_trace(workload)
-    report = FirstOrderModel(
-        spec.machine.to_config()).evaluate_trace(trace)
+    report = FirstOrderModel(spec.machine).evaluate_trace(trace)
     print(f"{args.benchmark}: model CPI {report.cpi:.3f} "
           f"(IPC {report.ipc:.2f})")
     print(f"  IW fit: I = {report.characteristic.alpha:.2f} * "
@@ -242,7 +241,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
             tele = resolve_telemetry(spec.telemetry)
             result = simulate_stream(
-                stream, spec.machine.to_config(),
+                stream, spec.machine,
                 instrument=spec.engine.instrument,
                 telemetry=tele if tele is not None else False)
         else:
@@ -279,15 +278,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = _resolved_spec(args, benchmark=benchmarks[0])
     if _maybe_dump_spec(args, spec):
         return 0
-    config = spec.machine.to_config()
-    model = FirstOrderModel(config)
+    model = FirstOrderModel(spec.machine)
     print(f"{'bench':8s} {'model':>7s} {'sim':>7s} {'error':>7s}")
     errors = []
     for name in benchmarks:
         workload = spec.workload.with_benchmark(name)
         trace = _workload_trace(workload)
         report = model.evaluate_trace(trace)
-        sim = DetailedSimulator(config, instrument=False).run(trace)
+        sim = DetailedSimulator(spec.machine, instrument=False).run(trace)
         err = (report.cpi - sim.cpi) / sim.cpi
         errors.append(abs(err))
         print(f"{name:8s} {report.cpi:7.3f} {sim.cpi:7.3f} {err:+7.1%}")
@@ -362,7 +360,7 @@ def cmd_corun(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
         write_manifest(args.output, build_manifest(
             command="corun",
-            config=spec.machine.to_config(),
+            config=spec.machine,
             spec=None,
             wall_seconds=elapsed,
             cache_stats=artifacts.cache_stats(),
@@ -582,7 +580,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
         write_manifest(args.output, build_manifest(
             command="explore",
-            config=search.base.machine.to_config(),
+            config=search.base.machine,
             spec=search.base,
             wall_seconds=elapsed,
             cache_stats=artifacts.cache_stats(),
@@ -686,11 +684,10 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         stream = artifacts.trace_chunk_stream(
             workload.benchmark, workload.length, workload.seed,
             chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
-        result = simulate_stream(stream, spec.machine.to_config(),
-                                 telemetry=tele)
+        result = simulate_stream(stream, spec.machine, telemetry=tele)
     else:
         trace = _workload_trace(workload)
-        sim = DetailedSimulator(spec.machine.to_config(), telemetry=tele)
+        sim = DetailedSimulator(spec.machine, telemetry=tele)
         result = sim.run(trace)
     report = tele.report
     timeline = report.timeline

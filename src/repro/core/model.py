@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.core.branch_penalty import BranchPenaltyModel, BurstPolicy
 from repro.core.dcache_penalty import DCachePenaltyModel
 from repro.core.icache_penalty import ICachePenaltyModel
@@ -41,7 +41,7 @@ class ModelReport:
     """
 
     name: str
-    config: ProcessorConfig
+    config: MachineSpec
     characteristic: IWCharacteristic
     cpi_steady: float
     cpi_branch: float
@@ -90,10 +90,10 @@ class FirstOrderModel:
 
     def __init__(
         self,
-        config: ProcessorConfig | None = None,
+        config: MachineSpec | None = None,
         branch_policy: BurstPolicy = BurstPolicy.MIDPOINT,
     ):
-        self.config = config or ProcessorConfig()
+        self.config = config or BASELINE
         self.branch_policy = branch_policy
 
     # -- sub-models --------------------------------------------------------
@@ -169,13 +169,7 @@ class FirstOrderModel:
 
     def evaluate_trace(self, trace: Trace) -> ModelReport:
         """End-to-end: functional collection, IW fit, then Eq. 1."""
-        collector = MissEventCollector(
-            CollectorConfig(
-                hierarchy=self.config.hierarchy,
-                predictor_factory=self.config.predictor_factory,
-                ideal_predictor=self.config.ideal_predictor,
-            )
-        )
-        profile = collector.collect(trace)
+        profile = MissEventCollector(
+            CollectorConfig.of(self.config)).collect(trace)
         characteristic = build_characteristic(trace, self.config, profile)
         return self.evaluate(profile, characteristic)

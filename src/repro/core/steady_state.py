@@ -10,7 +10,7 @@ the machine's window size.
 
 from __future__ import annotations
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.frontend.events import MissEventProfile
 from repro.trace.trace import Trace
 from repro.window.characteristic import IWCharacteristic
@@ -20,7 +20,7 @@ from repro.window.powerlaw import fit_curve
 
 def build_characteristic(
     trace: Trace,
-    config: ProcessorConfig,
+    config: MachineSpec,
     profile: MissEventProfile | None = None,
     window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES,
 ) -> IWCharacteristic:
@@ -34,26 +34,26 @@ def build_characteristic(
     fit = fit_curve(curve)
     if profile is not None:
         latency = profile.effective_mean_latency(
-            config.latencies, config.hierarchy.l2_latency
+            config.latency_table, config.hierarchy.l2_latency
         )
     else:
         from repro.trace.analysis import analyze_trace
 
-        latency = analyze_trace(trace, config.latencies).mean_latency
+        latency = analyze_trace(trace, config.latency_table).mean_latency
     return IWCharacteristic.from_fit(
         fit, latency=latency, issue_width=config.width
     )
 
 
 def steady_state_ipc(
-    characteristic: IWCharacteristic, config: ProcessorConfig
+    characteristic: IWCharacteristic, config: MachineSpec
 ) -> float:
     """Sustained no-miss-event IPC at the machine's window size."""
     return characteristic.steady_state_ipc(config.window_size)
 
 
 def steady_state_cpi(
-    characteristic: IWCharacteristic, config: ProcessorConfig
+    characteristic: IWCharacteristic, config: MachineSpec
 ) -> float:
     """CPI_steadystate of Eq. 1."""
     return characteristic.steady_state_cpi(config.window_size)

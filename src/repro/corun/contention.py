@@ -52,6 +52,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.branch.predictor import BranchPredictor
+from repro.config import BASELINE
 from repro.corun.interleave import InterleaveKey
 from repro.frontend.collector import CollectorConfig
 from repro.frontend.fastpass import (
@@ -120,7 +121,7 @@ def run_contended_pass(
     warm-up passes replay the same order, keeping cache and predictor
     state exactly as the solo collector does.
     """
-    cfg = config or CollectorConfig()
+    cfg = config or CollectorConfig.of(BASELINE)
     n_work = len(sources)
     if len(lengths) != n_work:
         raise ValueError("sources and lengths must align")

@@ -61,7 +61,7 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
     from repro.simulator.processor import DetailedSimulator
     from repro.trace.analysis import analyze_trace
 
-    config = spec.machine.to_config()
+    machine = spec.machine
     workloads = spec.workloads
     n_work = len(workloads)
 
@@ -102,14 +102,10 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
 
     contention = run_contended_pass(
         sources, [w.length for w in workloads], order,
-        CollectorConfig(
-            hierarchy=config.hierarchy,
-            predictor_factory=config.predictor_factory,
-            ideal_predictor=config.ideal_predictor,
-        ),
+        CollectorConfig.of(machine),
     )
 
-    model = FirstOrderModel(config)
+    model = FirstOrderModel(machine)
     rows: list[dict] = []
     for i, (workload, counts) in enumerate(
             zip(workloads, contention.workloads)):
@@ -120,13 +116,13 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
 
         # detailed co-run timing: the workload's own trace driven by its
         # contention-elevated annotations, with the telemetry accountant
-        sim = DetailedSimulator(config, instrument=False, telemetry=True)
+        sim = DetailedSimulator(machine, instrument=False, telemetry=True)
         result = sim.run(trace, profile.annotations)
         assert sim.last_telemetry is not None
         stack = sim.last_telemetry.report.stack
 
         report = model.evaluate(
-            profile, build_characteristic(trace, config, profile))
+            profile, build_characteristic(trace, machine, profile))
 
         solo_result = solo[i]
         solo_rate = (solo_result.dcache_long_count / profile.load_count

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
 from repro.experiments.common import (
     BASELINE,
@@ -96,7 +96,7 @@ class ComparisonResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     seed: int = 3,
     workload: WorkloadSpec | None = None,
 ) -> ComparisonResult:

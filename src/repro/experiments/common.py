@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.config import BASELINE
 from repro.runner.artifacts import trace_artifact
 from repro.spec.specs import WorkloadSpec
 from repro.trace.profiles import BENCHMARK_ORDER
@@ -132,7 +132,6 @@ __all__ = [
     "BASELINE",
     "BENCHMARK_ORDER",
     "DEFAULT_TRACE_LENGTH",
-    "ProcessorConfig",
     "WorkloadSpec",
     "cached_trace",
     "workload_for",

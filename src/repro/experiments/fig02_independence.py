@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -91,7 +91,7 @@ class IndependenceResult:
 
 
 def _overlap_fractions(
-    trace: Trace, config: ProcessorConfig, window: int
+    trace: Trace, config: MachineSpec, window: int
 ) -> tuple[float, float]:
     """Fractions of mispredictions / I-misses that fall within ``window``
     dynamic instructions after a long data-cache miss (the paper counts
@@ -118,7 +118,7 @@ def _overlap_fractions(
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> IndependenceResult:
     """Run the five-configuration experiment for each benchmark."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -83,7 +83,7 @@ class BranchPenaltyResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     depths: tuple[int, ...] = DEPTHS,
     workload: WorkloadSpec | None = None,
 ) -> BranchPenaltyResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -88,7 +88,7 @@ class ICachePenaltyResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     depths: tuple[int, ...] = DEPTHS,
     workload: WorkloadSpec | None = None,
 ) -> ICachePenaltyResult:

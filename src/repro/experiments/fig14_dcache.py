@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.dcache_penalty import DCachePenaltyModel
 from repro.experiments.common import (
     BASELINE,
@@ -109,16 +109,13 @@ class DCachePenaltyResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> DCachePenaltyResult:
     rows = []
     skipped = []
     dcache_cfg = config.only_real_dcache()
-    collector = MissEventCollector(
-        CollectorConfig(hierarchy=dcache_cfg.hierarchy,
-                        ideal_predictor=True)
-    )
+    collector = MissEventCollector(CollectorConfig.of(dcache_cfg))
     model = DCachePenaltyModel(
         miss_delay=config.hierarchy.memory_latency, rob_size=config.rob_size
     )

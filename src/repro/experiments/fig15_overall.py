@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel, ModelReport
 from repro.experiments.common import (
     BASELINE,
@@ -23,8 +23,8 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.runner import WorkUnit, run_units
-from repro.spec import MachineSpec, RunSpec, SpecError, SweepSpec
+from repro.runner import run_units
+from repro.spec import RunSpec, SweepSpec
 
 #: accuracy bands asserted by the checks (paper: 5.8% mean, 13% worst)
 MEAN_ERROR_BAND = 0.10
@@ -114,29 +114,20 @@ def _rank_agreement(rows: tuple[OverallRow, ...]) -> float:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> OverallResult:
     if not benchmarks:
         return OverallResult(rows=())
     model = FirstOrderModel(config)
-    try:
-        sweep = SweepSpec(
-            base=RunSpec(
-                workload=workload_for(workload, benchmarks[0], trace_length),
-                machine=MachineSpec.from_config(config.all_real()),
-            ),
-            benchmarks=benchmarks,
-        )
-        units: list = list(sweep.expand())
-    except SpecError:
-        # configs outside the spec vocabulary fall back to raw WorkUnits
-        units = [
-            WorkUnit(benchmark=name, config=config.all_real(),
-                     length=trace_length)
-            for name in benchmarks
-        ]
-    sims, _ = run_units(units)
+    sweep = SweepSpec(
+        base=RunSpec(
+            workload=workload_for(workload, benchmarks[0], trace_length),
+            machine=config.all_real(),
+        ),
+        benchmarks=benchmarks,
+    )
+    sims, _ = run_units(sweep.expand())
     rows = []
     for name, sim in zip(benchmarks, sims):
         trace = cached_trace(workload_for(workload, name, trace_length))

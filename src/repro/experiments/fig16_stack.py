@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
 from repro.core.stack import CPIStack, render_stacks
 from repro.experiments.common import (
@@ -137,7 +137,7 @@ class StackResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     measured: bool | None = None,
     workload: WorkloadSpec | None = None,
 ) -> StackResult:

@@ -25,7 +25,7 @@ from repro.experiments.common import (
     workload_for,
 )
 from repro.runner import run_units
-from repro.spec import MachineSpec, RunSpec, SweepSpec
+from repro.spec import RunSpec, SweepSpec
 
 #: a diverse trio: mid-ILP, low-ILP/high-latency, memory-bound
 BENCHMARKS = ("gzip", "vpr", "mcf")
@@ -133,7 +133,7 @@ def run(
     sweep = SweepSpec(
         base=RunSpec(
             workload=workload_for(workload, benchmarks[0], trace_length),
-            machine=MachineSpec.from_config(BASELINE),
+            machine=BASELINE,
         ),
         benchmarks=benchmarks,
         axes={
@@ -162,7 +162,7 @@ def run(
     points = []
     for unit_result in sims:
         unit = unit_result.unit
-        cfg = unit.config
+        cfg = unit.machine
         trace = cached_trace(
             workload_for(workload, unit.benchmark, trace_length))
         report = FirstOrderModel(cfg).evaluate_trace(trace)

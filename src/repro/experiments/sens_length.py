@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
 from repro.experiments.common import (
     BASELINE,
@@ -94,12 +94,10 @@ class LengthSweepResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARKS,
     lengths: tuple[int, ...] = LENGTHS,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> LengthSweepResult:
-    collector = MissEventCollector(
-        CollectorConfig(hierarchy=config.hierarchy)
-    )
+    collector = MissEventCollector(CollectorConfig.of(config))
     model = FirstOrderModel(config)
     rows = []
     seed = workload.seed if workload is not None else None

@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.branch.gshare import GShare
-from repro.branch.simple import Bimodal, StaticPredictor
-from repro.branch.twolevel import LocalHistory, Tournament
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
 from repro.experiments.common import (
     BASELINE,
@@ -33,13 +29,14 @@ from repro.simulator.processor import DetailedSimulator
 
 BENCHMARKS = ("gzip", "twolf", "parser")
 
-#: predictor quality spectrum, roughly worst to best
-PREDICTORS: tuple[tuple[str, Callable], ...] = (
-    ("static-taken", lambda: StaticPredictor(taken=True)),
-    ("bimodal", lambda: Bimodal(entries=2048)),
-    ("gshare-8k", GShare),
-    ("local", LocalHistory),
-    ("tournament", Tournament),
+#: predictor quality spectrum, roughly worst to best: (row label,
+#: :data:`repro.config.PREDICTORS` name at its registry defaults)
+PREDICTORS: tuple[tuple[str, str], ...] = (
+    ("static-taken", "static"),
+    ("bimodal", "bimodal"),
+    ("gshare-8k", "gshare"),
+    ("local", "local"),
+    ("tournament", "tournament"),
 )
 
 
@@ -111,14 +108,14 @@ class PredictorSweepResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARKS,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> PredictorSweepResult:
     rows = []
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        for label, factory in PREDICTORS:
-            cfg = dataclasses.replace(config, predictor_factory=factory)
+        for label, predictor in PREDICTORS:
+            cfg = dataclasses.replace(config, predictor=predictor)
             report = FirstOrderModel(cfg).evaluate_trace(trace)
             sim_machine = DetailedSimulator(cfg, instrument=False)
             annotations = sim_machine.annotate(trace)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     DEFAULT_TRACE_LENGTH,
@@ -106,19 +106,17 @@ class PowerLawResult:
 def run(
     benchmarks: tuple[str, ...] = tuple(PAPER_VALUES),
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> PowerLawResult:
     rows = []
-    collector = MissEventCollector(
-        CollectorConfig(hierarchy=config.hierarchy)
-    )
+    collector = MissEventCollector(CollectorConfig.of(config))
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
         fit = fit_curve(measure_iw_curve(trace))
         profile = collector.collect(trace)
         latency = profile.effective_mean_latency(
-            config.latencies, config.hierarchy.l2_latency
+            config.latency_table, config.hierarchy.l2_latency
         )
         rows.append(
             PowerLawRow(

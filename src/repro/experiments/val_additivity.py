@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
 from repro.core.stack import STACK_ORDER, CPIStack
 from repro.experiments.common import (
@@ -133,7 +133,7 @@ class AdditivityResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> AdditivityResult:
     model = FirstOrderModel(config)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -118,7 +118,7 @@ class AssumptionsResult:
 def run(
     benchmarks: tuple[str, ...] = BENCHMARK_ORDER,
     trace_length: int = DEFAULT_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> AssumptionsResult:
     rows = []

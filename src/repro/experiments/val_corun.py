@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.experiments.common import (
     BASELINE,
     DEFAULT_TRACE_LENGTH,
@@ -199,19 +199,18 @@ def _pair_result(spec, label: str) -> CoRunPair:
 def run(
     pairs: tuple[tuple[str, str], ...] = PAIRS,
     trace_length: int = CORUN_TRACE_LENGTH,
-    config: ProcessorConfig = BASELINE,
+    config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> CoRunValidationResult:
-    from repro.spec import CoRunSpec, MachineSpec
+    from repro.spec import CoRunSpec
 
-    machine = MachineSpec.from_config(config)
     results: list[CoRunPair] = []
     skipped: list[str] = []
     for a, b in pairs:
         spec = CoRunSpec(
             workloads=(workload_for(workload, a, trace_length),
                        workload_for(workload, b, trace_length)),
-            machine=machine,
+            machine=config,
         )
         results.append(_pair_result(spec, f"{a}+{b}"))
 
@@ -223,7 +222,7 @@ def run(
         spec = CoRunSpec(
             workloads=(workload_for(workload, "gzip", trace_length),
                        ingested),
-            machine=machine,
+            machine=config,
         )
         results.append(_pair_result(spec, "gzip+ingested"))
     return CoRunValidationResult(pairs=tuple(results),

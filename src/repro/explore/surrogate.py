@@ -67,20 +67,16 @@ class Surrogate:
             workload = dataclasses.replace(workload, length=length)
         start = time.perf_counter()
         trace = cached_trace(workload)
-        config = spec.machine.to_config()
+        machine = spec.machine
         wkey = (workload.benchmark, workload.length,
                 workload.resolved_seed())
 
-        pkey = wkey + (repr(config.hierarchy),
-                       repr(config.predictor_factory),
-                       config.ideal_predictor)
+        pkey = wkey + (machine.hierarchy, machine.predictor,
+                       machine.ideal_predictor)
         profile = self._profiles.get(pkey)
         if profile is None:
-            profile = MissEventCollector(CollectorConfig(
-                hierarchy=config.hierarchy,
-                predictor_factory=config.predictor_factory,
-                ideal_predictor=config.ideal_predictor,
-            )).collect(trace)
+            profile = MissEventCollector(
+                CollectorConfig.of(machine)).collect(trace)
             self._profiles[pkey] = profile
 
         fit = self._fits.get(wkey)
@@ -91,10 +87,10 @@ class Surrogate:
         # identical to FirstOrderModel.evaluate_trace, with the profile
         # and fit supplied from the memo instead of recomputed
         latency = profile.effective_mean_latency(
-            config.latencies, config.hierarchy.l2_latency)
+            machine.latency_table, machine.hierarchy.l2_latency)
         characteristic = IWCharacteristic.from_fit(
-            fit, latency=latency, issue_width=config.width)
-        report = FirstOrderModel(config).evaluate(profile, characteristic)
+            fit, latency=latency, issue_width=machine.width)
+        report = FirstOrderModel(machine).evaluate(profile, characteristic)
         self.seconds += time.perf_counter() - start
         self.evaluations += 1
         metrics_registry().counter("explore.surrogate_evals").inc()

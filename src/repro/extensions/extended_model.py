@@ -14,9 +14,9 @@ assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.core.branch_penalty import BurstPolicy
 from repro.core.model import FirstOrderModel, ModelReport
 from repro.core.steady_state import build_characteristic
@@ -71,7 +71,7 @@ class ExtendedFirstOrderModel:
             sustainable issue rate.
     """
 
-    config: ProcessorConfig = field(default_factory=ProcessorConfig)
+    config: MachineSpec = BASELINE
     branch_policy: BurstPolicy = BurstPolicy.MIDPOINT
     burst_aware_branches: bool = False
     fetch_buffer: FetchBuffer | None = None
@@ -79,14 +79,8 @@ class ExtendedFirstOrderModel:
     fu_pool: FunctionalUnitPool | None = None
 
     def evaluate_trace(self, trace: Trace) -> ExtendedReport:
-        collector = MissEventCollector(
-            CollectorConfig(
-                hierarchy=self.config.hierarchy,
-                predictor_factory=self.config.predictor_factory,
-                ideal_predictor=self.config.ideal_predictor,
-            )
-        )
-        profile = collector.collect(trace)
+        profile = MissEventCollector(
+            CollectorConfig.of(self.config)).collect(trace)
         characteristic = build_characteristic(trace, self.config, profile)
         return self.evaluate(trace, profile, characteristic)
 
@@ -99,7 +93,7 @@ class ExtendedFirstOrderModel:
         if self.fu_pool is not None:
             characteristic = saturation_with_limited_units(
                 characteristic, profile.trace_stats.mix, self.fu_pool,
-                self.config.latencies,
+                self.config.latency_table,
             )
         base_model = FirstOrderModel(self.config, self.branch_policy)
         base = base_model.evaluate(profile, characteristic)

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.branch.gshare import GShare
 from repro.branch.predictor import BranchPredictor
+from repro.config import BASELINE, HierarchySpec, MachineSpec
 from repro.fastpath import resolve_engine
-from repro.memory.config import HierarchyConfig
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 from repro.frontend.events import EventAnnotations, MissEventProfile
 from repro.frontend.fastpass import FastPassPlan, run_fast_pass
@@ -40,7 +40,10 @@ PredictorFactory = Callable[[], BranchPredictor]
 
 @dataclass
 class CollectorConfig:
-    """Configuration of a collection run.
+    """The functional pass's view of a machine.
+
+    :meth:`of` derives it from a :class:`~repro.config.MachineSpec`; the
+    fields stay open so tests can inject predictors outside the registry.
 
     Attributes:
         hierarchy: cache-hierarchy configuration (geometry + ideal flags).
@@ -52,10 +55,21 @@ class CollectorConfig:
             paper's ideal-predictor configurations).
     """
 
-    hierarchy: HierarchyConfig = HierarchyConfig()
+    hierarchy: HierarchySpec = HierarchySpec()
     predictor_factory: PredictorFactory = GShare
     warmup_passes: int = 1
     ideal_predictor: bool = False
+
+    @classmethod
+    def of(cls, machine: MachineSpec,
+           warmup_passes: int = 1) -> "CollectorConfig":
+        """What the functional pass needs of ``machine``."""
+        return CollectorConfig(
+            hierarchy=machine.hierarchy,
+            predictor_factory=machine.predictor_factory,
+            warmup_passes=warmup_passes,
+            ideal_predictor=machine.ideal_predictor,
+        )
 
 
 class MissEventCollector:
@@ -70,7 +84,7 @@ class MissEventCollector:
 
     def __init__(self, config: CollectorConfig | None = None,
                  engine: str | None = None):
-        self.config = config or CollectorConfig()
+        self.config = config or CollectorConfig.of(BASELINE)
         self.engine = resolve_engine(engine)
 
     def collect(self, trace: Trace, annotate: bool = False) -> MissEventProfile:

@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.config import BASELINE
 from repro.frontend.collector import CollectorConfig
 from repro.frontend.events import EventAnnotations, MissEventProfile
 from repro.frontend.fastpass import FastPassPlan, run_fast_pass
@@ -42,7 +43,7 @@ class StreamingCollector:
     """
 
     def __init__(self, config: CollectorConfig | None = None):
-        self.config = config or CollectorConfig()
+        self.config = config or CollectorConfig.of(BASELINE)
         #: the profile of the most recent completed pass
         self.profile: MissEventProfile | None = None
 

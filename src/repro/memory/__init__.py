@@ -6,23 +6,11 @@ classification the first-order model is built on.
 """
 
 from repro.memory.cache import Cache, CacheStats
-from repro.memory.config import (
-    CacheGeometry,
-    HierarchyConfig,
-    L1I_BASELINE,
-    L1D_BASELINE,
-    L2_BASELINE,
-)
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy, HierarchyStats
 
 __all__ = [
     "Cache",
     "CacheStats",
-    "CacheGeometry",
-    "HierarchyConfig",
-    "L1I_BASELINE",
-    "L1D_BASELINE",
-    "L2_BASELINE",
     "AccessOutcome",
     "CacheHierarchy",
     "HierarchyStats",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.config import CacheGeometry
+from repro.config import CacheSpec
 
 
 @dataclass
@@ -42,7 +42,7 @@ class Cache:
     cheap and the ordering doubles as the LRU state.
     """
 
-    def __init__(self, geometry: CacheGeometry, name: str = "cache"):
+    def __init__(self, geometry: CacheSpec, name: str = "cache"):
         self.geometry = geometry
         self.name = name
         self.stats = CacheStats()

@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.config import HierarchySpec
 from repro.memory.cache import Cache
-from repro.memory.config import HierarchyConfig
 
 
 class AccessOutcome(enum.Enum):
@@ -72,9 +72,9 @@ class CacheHierarchy:
     geometry; its statistics aggregate across all sharers.
     """
 
-    def __init__(self, config: HierarchyConfig | None = None,
+    def __init__(self, config: HierarchySpec | None = None,
                  shared_l2: Cache | None = None):
-        self.config = config or HierarchyConfig()
+        self.config = config or HierarchySpec()
         self.l1i = Cache(self.config.l1i, "L1I")
         self.l1d = Cache(self.config.l1d, "L1D")
         if shared_l2 is not None and shared_l2.geometry != self.config.l2:

@@ -43,8 +43,6 @@ share one entry.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import json
 import logging
@@ -90,11 +88,9 @@ def cache_root() -> Path:
 def canonicalize(value):
     """Reduce ``value`` to plain JSON-serializable data, deterministically.
 
-    Dataclasses flatten to ``[qualified-name, {field: value, ...}]`` so a
-    renamed or re-fielded configuration class changes every key that used
-    it.  Callables are identified by module-qualified name — classes and
-    plain functions are fine, but a closure's behaviour is not recoverable
-    from its name, so closures raise :class:`UncacheableError`.
+    Recipes are plain data — specs enter as their ``to_dict()`` /
+    ``canonical()`` form — so anything else (a dataclass, a callable)
+    raises :class:`UncacheableError`.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -102,37 +98,10 @@ def canonicalize(value):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: canonicalize(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return [f"{type(value).__module__}.{type(value).__qualname__}", fields]
     if isinstance(value, (list, tuple)):
         return [canonicalize(v) for v in value]
     if isinstance(value, dict):
         return {str(k): canonicalize(v) for k, v in sorted(value.items())}
-    if isinstance(value, functools.partial):
-        return [
-            "functools.partial",
-            canonicalize(value.func),
-            canonicalize(value.args),
-            canonicalize(value.keywords),
-        ]
-    if isinstance(value, type):
-        return f"{value.__module__}.{value.__qualname__}"
-    if callable(value):
-        if getattr(value, "__closure__", None):
-            raise UncacheableError(
-                f"cannot derive a stable cache key for closure {value!r}"
-            )
-        module = getattr(value, "__module__", None)
-        qualname = getattr(value, "__qualname__", None)
-        if not module or not qualname or "<lambda>" in qualname:
-            raise UncacheableError(
-                f"cannot derive a stable cache key for callable {value!r}"
-            )
-        return f"{module}.{qualname}"
     raise UncacheableError(
         f"cannot derive a stable cache key for {type(value).__name__!r}"
     )
@@ -597,7 +566,7 @@ def _serve_chunks(manifest: dict, name: str, generate, mmap: bool):
 
 def annotations_artifact(
     trace,
-    config,
+    machine,
     benchmark: str,
     length: int,
     seed: int | None = None,
@@ -606,32 +575,27 @@ def annotations_artifact(
     """Functional-pass miss-event annotations for ``trace``, disk-cached.
 
     The key covers the trace recipe plus everything the functional pass
-    depends on: cache hierarchy, predictor factory, ideal-predictor flag
-    and warm-up count.  The simulation engine is deliberately *not* part
-    of the key — the fast and reference passes are bit-identical (an
-    equivalence the test suite enforces), so either may serve both.
+    depends on: the machine's cache hierarchy, predictor name and
+    ideal-predictor flag, and the warm-up count.  The simulation engine
+    is deliberately *not* part of the key — the fast and reference
+    passes are bit-identical (an equivalence the test suite enforces),
+    so either may serve both.
     """
     from repro.frontend.collector import CollectorConfig, MissEventCollector
     from repro.spec.specs import WorkloadSpec
 
     def compute():
         collector = MissEventCollector(
-            CollectorConfig(
-                hierarchy=config.hierarchy,
-                predictor_factory=config.predictor_factory,
-                warmup_passes=warmup_passes,
-                ideal_predictor=config.ideal_predictor,
-            )
-        )
+            CollectorConfig.of(machine, warmup_passes))
         with _spans.span("sim.functional", benchmark=benchmark,
                          length=length):
             profile = collector.collect(trace, annotate=True)
         return profile.annotations
 
     machine_part = {
-        "hierarchy": config.hierarchy,
-        "predictor": config.predictor_factory,
-        "ideal_predictor": config.ideal_predictor,
+        "hierarchy": machine.hierarchy.to_dict(),
+        "predictor": machine.predictor,
+        "ideal_predictor": machine.ideal_predictor,
         "warmup_passes": warmup_passes,
     }
     workload = WorkloadSpec(benchmark, length, seed)

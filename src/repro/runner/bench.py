@@ -98,11 +98,7 @@ def bench_kernels(
     from repro.trace.synthetic import generate_trace
     from repro.trace.vectorgen import ChunkedTraceGenerator
 
-    collector_cfg = CollectorConfig(
-        hierarchy=BASELINE.hierarchy,
-        predictor_factory=BASELINE.predictor_factory,
-        ideal_predictor=BASELINE.ideal_predictor,
-    )
+    collector_cfg = CollectorConfig.of(BASELINE)
     per_bench: dict[str, dict] = {}
     for name in benchmarks:
         if progress:
@@ -158,7 +154,7 @@ def bench_sweep(benchmarks, length: int, runs: int, jobs, progress=None) -> dict
         ])
 
     units = [
-        WorkUnit(benchmark=b, config=BASELINE, length=length,
+        WorkUnit(benchmark=b, length=length,
                  instrument=True, engine="fast")
         for b in benchmarks
     ]
@@ -204,11 +200,7 @@ def bench_telemetry(benchmarks, length: int, runs: int, progress=None) -> dict:
     from repro.simulator.processor import DetailedSimulator
     from repro.trace.synthetic import generate_trace
 
-    collector_cfg = CollectorConfig(
-        hierarchy=BASELINE.hierarchy,
-        predictor_factory=BASELINE.predictor_factory,
-        ideal_predictor=BASELINE.ideal_predictor,
-    )
+    collector_cfg = CollectorConfig.of(BASELINE)
     off_s = on_s = 0.0
     identical = True
     for name in benchmarks:

@@ -22,7 +22,7 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.config import BASELINE
 from repro.obs import spans as _spans
 from repro.runner import artifacts
 from repro.simulator.results import SimResult
@@ -31,7 +31,6 @@ from repro.spec.specs import (
     EngineSpec,
     MachineSpec,
     RunSpec,
-    SpecError,
     WorkloadSpec,
 )
 from repro.telemetry.metrics import metrics_registry
@@ -68,7 +67,7 @@ class WorkUnit:
 
     Attributes:
         benchmark: profile name (``repro.trace.profiles``).
-        config: machine configuration to simulate.
+        machine: the machine to simulate.
         length: dynamic trace length.
         seed: trace RNG seed (``None`` = the profile's default seed).
         instrument: collect per-cycle instrumentation.
@@ -83,7 +82,7 @@ class WorkUnit:
     """
 
     benchmark: str
-    config: ProcessorConfig = BASELINE
+    machine: MachineSpec = BASELINE
     length: int = _DEFAULT_LENGTH
     seed: int | None = None
     instrument: bool = False
@@ -98,7 +97,7 @@ class WorkUnit:
         """The work unit a :class:`RunSpec` describes."""
         return cls(
             benchmark=spec.workload.benchmark,
-            config=spec.machine.to_config(),
+            machine=spec.machine,
             length=spec.workload.length,
             seed=spec.workload.seed,
             instrument=spec.engine.instrument,
@@ -109,16 +108,10 @@ class WorkUnit:
         )
 
     def to_spec(self) -> RunSpec:
-        """This unit as a :class:`RunSpec`.
-
-        Raises :class:`~repro.spec.SpecError` when the unit's
-        configuration is not spec-expressible (e.g. a predictor factory
-        outside the spec registry); such units fall back to the generic
-        pre-spec cache keying.
-        """
+        """This unit as a :class:`RunSpec`."""
         return RunSpec(
             workload=WorkloadSpec(self.benchmark, self.length, self.seed),
-            machine=MachineSpec.from_config(self.config),
+            machine=self.machine,
             engine=EngineSpec(
                 engine=self.engine if self.engine is not None else "fast",
                 instrument=self.instrument,
@@ -195,9 +188,8 @@ def execute_unit(unit: WorkUnit, reuse_result: bool = False) -> SimResult:
     ``reuse_result`` is set, in which case a previously stored
     :class:`SimResult` for the identical recipe is returned directly.
 
-    Results of spec-expressible units are keyed by
-    :meth:`RunSpec.content_key` — the same key the evaluation service
-    and in-process :func:`execute_spec` use.  The engine is excluded
+    Results are keyed by :meth:`RunSpec.content_key` — the same key the
+    evaluation service and in-process :func:`execute_spec` use.  The engine is excluded
     from the key on purpose: fast and reference engines are
     bit-identical (enforced by the test suite).
     """
@@ -211,36 +203,27 @@ def execute_unit(unit: WorkUnit, reuse_result: bool = False) -> SimResult:
 
     def simulate() -> SimResult:
         annotations = artifacts.annotations_artifact(
-            trace, unit.config, unit.benchmark, unit.length, unit.seed
+            trace, unit.machine, unit.benchmark, unit.length, unit.seed
         )
         sim = DetailedSimulator(
-            unit.config, instrument=unit.instrument, engine=unit.engine
+            unit.machine, instrument=unit.instrument, engine=unit.engine
         )
         with _spans.span("sim.detailed", benchmark=unit.benchmark,
                          length=unit.length):
             return sim.run(trace, annotations)
 
-    try:
-        recipe = unit.to_spec().result_recipe()
-    except SpecError:
-        # not spec-expressible: the generic dataclass keying still works
-        recipe = {
-            "benchmark": unit.benchmark,
-            "length": unit.length,
-            "seed": unit.seed,
-            "config": unit.config,
-            "instrument": unit.instrument,
-        }
+    return _result(unit.to_spec().result_recipe(), simulate, reuse_result)
+
+
+def _result(recipe: dict, compute, reuse_result: bool) -> SimResult:
+    """``compute()``'s result, stored under ``recipe``'s key; served from
+    the store instead when ``reuse_result`` is set and it holds one."""
     if reuse_result:
-        return artifacts.cached_artifact("result", recipe, simulate)
-    result = simulate()
+        return artifacts.cached_artifact("result", recipe, compute)
+    result = compute()
     if artifacts.cache_enabled():
-        try:
-            key = artifacts.artifact_key("result", recipe)
-        except artifacts.UncacheableError:
-            artifacts.cache_stats().uncacheable += 1
-        else:
-            artifacts._store("result", key, result)
+        artifacts._store("result", artifacts.artifact_key("result", recipe),
+                         result)
     return result
 
 
@@ -280,23 +263,12 @@ def _execute_spec_streaming(spec: RunSpec, reuse_result: bool = False
                          chunk_size=spec.engine.chunk_size
                          or DEFAULT_CHUNK_SIZE):
             return simulate_stream(
-                stream, spec.machine.to_config(),
+                stream, spec.machine,
                 instrument=spec.engine.instrument,
                 telemetry=spec.telemetry,
             )
 
-    recipe = spec.result_recipe()
-    if reuse_result:
-        return artifacts.cached_artifact("result", recipe, compute)
-    result = compute()
-    if artifacts.cache_enabled():
-        try:
-            key = artifacts.artifact_key("result", recipe)
-        except artifacts.UncacheableError:
-            artifacts.cache_stats().uncacheable += 1
-        else:
-            artifacts._store("result", key, result)
-    return result
+    return _result(spec.result_recipe(), compute, reuse_result)
 
 
 def _worker(args: tuple[WorkUnit, bool]) -> tuple[SimResult, float,

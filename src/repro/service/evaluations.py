@@ -49,7 +49,7 @@ import time
 
 from repro.service.protocol import ErrorCode, PROTOCOL_VERSION, ProtocolError
 
-#: params accepted as ProcessorConfig overrides (what-if knobs)
+#: params accepted as MachineSpec overrides (what-if knobs)
 CONFIG_FIELDS = ("pipeline_depth", "width", "window_size", "rob_size")
 
 #: default dynamic trace length (the experiment suite's default)
@@ -131,27 +131,16 @@ def _check_chaos(chaos) -> dict:
     return dict(chaos)
 
 
-def _config_overrides(params: dict) -> dict:
-    overrides = {}
-    for name in CONFIG_FIELDS:
-        if name in params:
-            value = params[name]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ProtocolError(f"{name!r} must be an integer")
-            overrides[name] = value
-    return overrides
-
-
 def build_config(params: dict):
-    """The :class:`~repro.config.ProcessorConfig` a request describes."""
-    from repro.config import BASELINE
+    """The :class:`~repro.config.MachineSpec` a request's what-if knobs
+    describe."""
+    from repro.config import BASELINE, SpecError
 
-    overrides = _config_overrides(params)
-    if not overrides:
-        return BASELINE
+    overrides = {name: params[name] for name in CONFIG_FIELDS
+                 if name in params}
     try:
         return dataclasses.replace(BASELINE, **overrides)
-    except ValueError as exc:  # __post_init__ constraint violated
+    except SpecError as exc:
         raise ProtocolError(f"invalid configuration: {exc}") from exc
 
 
@@ -165,7 +154,7 @@ def flat_params_to_spec(op: str, params: dict):
     which keep their flat keyword signature but build spec payloads
     client-side (the server itself accepts only ``{"spec": ...}``).
     """
-    from repro.spec import EngineSpec, MachineSpec, RunSpec, WorkloadSpec
+    from repro.spec import EngineSpec, RunSpec, WorkloadSpec
 
     known = {"benchmark", "length", "seed"} | set(CONFIG_FIELDS)
     if op == "simulate":
@@ -180,7 +169,7 @@ def flat_params_to_spec(op: str, params: dict):
     if seed is not None and (not isinstance(seed, int)
                              or isinstance(seed, bool)):
         raise ProtocolError("'seed' must be an integer")
-    machine = MachineSpec.from_config(build_config(params))
+    machine = build_config(params)
     engine_name = "fast"
     if op == "simulate":
         engine = params.get("engine")
@@ -390,8 +379,7 @@ def _eval_model(params: dict) -> dict:
     workload = spec.workload
     trace = artifacts.trace_artifact(
         workload.benchmark, workload.length, workload.seed)
-    report = FirstOrderModel(
-        spec.machine.to_config()).evaluate_trace(trace)
+    report = FirstOrderModel(spec.machine).evaluate_trace(trace)
     ch = report.characteristic
     return {
         "benchmark": workload.benchmark,

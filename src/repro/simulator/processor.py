@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.fastpath import resolve_engine
 from repro.frontend.collector import CollectorConfig, MissEventCollector
 from repro.frontend.events import EventAnnotations
@@ -91,7 +91,7 @@ def resolve_telemetry(t) -> Telemetry | None:
 
 
 class DetailedSimulator:
-    """Cycle-level simulator configured by a :class:`ProcessorConfig`.
+    """Cycle-level simulator of one :class:`~repro.config.MachineSpec`.
 
     Two interchangeable engines produce bit-identical results: the
     *reference* engine below is the direct transcription of the machine's
@@ -102,10 +102,10 @@ class DetailedSimulator:
     the default.
     """
 
-    def __init__(self, config: ProcessorConfig | None = None,
+    def __init__(self, config: MachineSpec | None = None,
                  instrument: bool = True, engine=None,
                  telemetry=None):
-        self.config = config or ProcessorConfig()
+        self.config = config or BASELINE
         self.instrument = instrument
         #: ``engine`` accepts a name, an :class:`repro.spec.EngineSpec`,
         #: or ``None`` (the ``REPRO_SIM_ENGINE``-then-``fast`` fallback)
@@ -124,7 +124,7 @@ class DetailedSimulator:
     def from_spec(cls, spec) -> "DetailedSimulator":
         """The simulator a :class:`repro.spec.RunSpec` describes."""
         return cls(
-            spec.machine.to_config(),
+            spec.machine,
             instrument=spec.engine.instrument,
             engine=spec.engine,
             telemetry=spec.telemetry,
@@ -138,12 +138,7 @@ class DetailedSimulator:
         """Run the functional pass that resolves this configuration's
         miss-events for ``trace``."""
         collector = MissEventCollector(
-            CollectorConfig(
-                hierarchy=self.config.hierarchy,
-                predictor_factory=self.config.predictor_factory,
-                warmup_passes=warmup_passes,
-                ideal_predictor=self.config.ideal_predictor,
-            ),
+            CollectorConfig.of(self.config, warmup_passes),
             engine=self.engine,
         )
         profile = collector.collect(trace, annotate=True)
@@ -204,7 +199,7 @@ class DetailedSimulator:
         deps = trace.dependences()
         dep1 = deps.dep1.tolist()
         dep2 = deps.dep2.tolist()
-        static_lat = trace.latencies(cfg.latencies)
+        static_lat = trace.latencies(cfg.latency_table)
         latency = (static_lat + annotations.load_extra).tolist()
         fetch_stall = annotations.fetch_stall.tolist()
         mispredicted = annotations.mispredicted.tolist()
@@ -403,7 +398,6 @@ class DetailedSimulator:
             name=trace.name,
             instructions=n,
             cycles=cycle,
-            config=cfg,
             misprediction_count=int(ann.mispredicted.sum()),
             icache_short_count=int(
                 ((ann.fetch_stall > 0)
@@ -419,7 +413,7 @@ class DetailedSimulator:
 
 def simulate(
     trace: Trace,
-    config: ProcessorConfig | None = None,
+    config: MachineSpec | None = None,
     annotations: EventAnnotations | None = None,
     instrument: bool = True,
     engine=None,

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import ProcessorConfig
-
 
 @dataclass
 class Instrumentation:
@@ -103,7 +101,6 @@ class SimResult:
     name: str
     instructions: int
     cycles: int
-    config: ProcessorConfig
     misprediction_count: int
     icache_short_count: int
     icache_long_count: int

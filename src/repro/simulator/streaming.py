@@ -80,7 +80,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.obs import spans as _spans
 from repro.simulator.results import Instrumentation, SimResult
 from repro.telemetry.accountant import (
@@ -127,7 +127,7 @@ def _checked_feed(annotated_chunks, length: int):
 def run_fast_stream(
     annotated_chunks,
     length: int,
-    config: ProcessorConfig,
+    config: MachineSpec,
     name: str = "trace",
     instrument: bool = True,
     telemetry=None,
@@ -159,7 +159,7 @@ def run_fast_stream(
 
     feed = _checked_feed(annotated_chunks, length)
     renamer = StreamingRenamer()
-    lat_vec = cfg.latencies.as_vector()
+    lat_vec = cfg.latency_table.as_vector()
     mem_lat = cfg.hierarchy.memory_latency
 
     #: the live span ``(fetch frontier + width) - retired`` stays below
@@ -696,7 +696,6 @@ def run_fast_stream(
         name=name,
         instructions=length,
         cycles=cycle,
-        config=cfg,
         misprediction_count=misp_total,
         icache_short_count=ic_short,
         icache_long_count=ic_long,
@@ -707,7 +706,7 @@ def run_fast_stream(
 
 def simulate_stream(
     stream,
-    config: ProcessorConfig | None = None,
+    config: MachineSpec | None = None,
     instrument: bool = True,
     warmup_passes: int = 1,
     telemetry=None,
@@ -724,16 +723,11 @@ def simulate_stream(
     from repro.frontend.streaming import StreamingCollector
     from repro.simulator.processor import resolve_telemetry
 
-    cfg = config or ProcessorConfig()
+    cfg = config or BASELINE
     n = len(stream)
     if n == 0:
         raise ValueError("cannot simulate an empty stream")
-    collector = StreamingCollector(CollectorConfig(
-        hierarchy=cfg.hierarchy,
-        predictor_factory=cfg.predictor_factory,
-        warmup_passes=warmup_passes,
-        ideal_predictor=cfg.ideal_predictor,
-    ))
+    collector = StreamingCollector(CollectorConfig.of(cfg, warmup_passes))
     tele = resolve_telemetry(telemetry)
     feed = collector.iter_annotated(stream, annotate=True)
     with _spans.span("sim.stream.engine", workload=stream.name,

@@ -34,267 +34,42 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from repro.branch import (
-    Bimodal,
-    GShare,
-    IdealPredictor,
-    LocalHistory,
-    PessimalPredictor,
-    StaticPredictor,
-    Tournament,
+from repro.config import (
+    PREDICTORS,
+    CacheSpec,
+    HierarchySpec,
+    MachineSpec,
+    SpecError,
+    _check_fields,
+    _construct,
+    _require_mapping,
 )
-from repro.config import ProcessorConfig
-from repro.isa.latency import DEFAULT_LATENCIES, LatencyTable
-from repro.isa.opclass import OpClass
-from repro.memory.config import CacheGeometry, HierarchyConfig
+
+__all__ = [
+    "PREDICTORS",
+    "SPEC_SCHEMA",
+    "CacheSpec",
+    "EngineSpec",
+    "HierarchySpec",
+    "MachineSpec",
+    "ObsSpec",
+    "RunSpec",
+    "SpecError",
+    "SweepSpec",
+    "TelemetrySpec",
+    "WorkloadSpec",
+    "canonical_json",
+]
 
 #: bump when the canonical spec layout changes; part of every content key
 SPEC_SCHEMA = 1
-
-#: named direction predictors a spec can select
-PREDICTORS: dict[str, Callable] = {
-    "gshare": GShare,
-    "bimodal": Bimodal,
-    "static": StaticPredictor,
-    "ideal": IdealPredictor,
-    "pessimal": PessimalPredictor,
-    "local": LocalHistory,
-    "tournament": Tournament,
-}
-
-
-class SpecError(ValueError):
-    """A spec could not be validated, parsed, or derived."""
 
 
 def canonical_json(data: Any) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _require_mapping(data: Any, what: str) -> dict:
-    if not isinstance(data, Mapping):
-        raise SpecError(f"{what} must be a JSON object, got "
-                        f"{type(data).__name__}")
-    return dict(data)
-
-
-def _check_fields(data: dict, cls: type, what: str) -> dict:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SpecError(f"unknown {what} field(s): {sorted(unknown)}; "
-                        f"expected a subset of {sorted(allowed)}")
-    return data
-
-
-def _construct(cls, data: dict, what: str):
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"invalid {what}: {exc}") from exc
-
-
-# -- machine -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CacheSpec:
-    """Geometry of one cache, mirroring :class:`CacheGeometry`."""
-
-    size_bytes: int
-    associativity: int = 4
-    line_bytes: int = 128
-
-    def __post_init__(self) -> None:
-        self.to_geometry()
-
-    def to_geometry(self) -> CacheGeometry:
-        try:
-            return CacheGeometry(self.size_bytes, self.associativity,
-                                 self.line_bytes)
-        except ValueError as exc:
-            raise SpecError(f"invalid cache geometry: {exc}") from exc
-
-    @classmethod
-    def from_geometry(cls, geometry: CacheGeometry) -> "CacheSpec":
-        return cls(size_bytes=geometry.size_bytes,
-                   associativity=geometry.associativity,
-                   line_bytes=geometry.line_bytes)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "CacheSpec":
-        return _construct(
-            cls, _check_fields(_require_mapping(data, "cache"), cls, "cache"),
-            "cache geometry")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class HierarchySpec:
-    """The two-level cache hierarchy, mirroring :class:`HierarchyConfig`."""
-
-    l1i: CacheSpec = field(default_factory=lambda: CacheSpec(4 * 1024))
-    l1d: CacheSpec = field(default_factory=lambda: CacheSpec(4 * 1024))
-    l2: CacheSpec = field(default_factory=lambda: CacheSpec(512 * 1024))
-    l2_latency: int = 8
-    memory_latency: int = 200
-    ideal_icache: bool = False
-    ideal_dcache: bool = False
-
-    def __post_init__(self) -> None:
-        self.to_config()
-
-    def to_config(self) -> HierarchyConfig:
-        try:
-            return HierarchyConfig(
-                l1i=self.l1i.to_geometry(),
-                l1d=self.l1d.to_geometry(),
-                l2=self.l2.to_geometry(),
-                l2_latency=self.l2_latency,
-                memory_latency=self.memory_latency,
-                ideal_icache=self.ideal_icache,
-                ideal_dcache=self.ideal_dcache,
-            )
-        except ValueError as exc:
-            raise SpecError(f"invalid hierarchy: {exc}") from exc
-
-    @classmethod
-    def from_config(cls, config: HierarchyConfig) -> "HierarchySpec":
-        return cls(
-            l1i=CacheSpec.from_geometry(config.l1i),
-            l1d=CacheSpec.from_geometry(config.l1d),
-            l2=CacheSpec.from_geometry(config.l2),
-            l2_latency=config.l2_latency,
-            memory_latency=config.memory_latency,
-            ideal_icache=config.ideal_icache,
-            ideal_dcache=config.ideal_dcache,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "HierarchySpec":
-        out = _check_fields(
-            _require_mapping(data, "hierarchy"), cls, "hierarchy")
-        for name in ("l1i", "l1d", "l2"):
-            if name in out:
-                out[name] = CacheSpec.from_dict(out[name])
-        return _construct(cls, out, "hierarchy")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class MachineSpec:
-    """The modeled machine, by value — a serializable
-    :class:`~repro.config.ProcessorConfig`.
-
-    ``predictor`` names an entry of :data:`PREDICTORS` (the paper
-    baseline is the 8K gShare); ``latencies`` maps lower-case opclass
-    names to cycle counts, defaulting to the package's SimpleScalar-
-    flavoured table.
-    """
-
-    pipeline_depth: int = 5
-    width: int = 4
-    window_size: int = 48
-    rob_size: int = 128
-    predictor: str = "gshare"
-    ideal_predictor: bool = False
-    hierarchy: HierarchySpec = field(default_factory=HierarchySpec)
-    latencies: Mapping[str, int] = field(
-        default_factory=lambda: {
-            c.name.lower(): l for c, l in DEFAULT_LATENCIES.items()
-        }
-    )
-
-    def __post_init__(self) -> None:
-        if self.predictor not in PREDICTORS:
-            raise SpecError(
-                f"unknown predictor {self.predictor!r}; one of "
-                + ", ".join(sorted(PREDICTORS))
-            )
-        object.__setattr__(self, "latencies", dict(self.latencies))
-        self.to_config()
-
-    def to_config(self) -> ProcessorConfig:
-        """The :class:`ProcessorConfig` this spec describes."""
-        try:
-            table = LatencyTable({
-                OpClass[name.upper()]: lat
-                for name, lat in self.latencies.items()
-            })
-        except KeyError as exc:
-            raise SpecError(f"unknown opclass in latencies: {exc}") from exc
-        except ValueError as exc:
-            raise SpecError(f"invalid latencies: {exc}") from exc
-        try:
-            return ProcessorConfig(
-                pipeline_depth=self.pipeline_depth,
-                width=self.width,
-                window_size=self.window_size,
-                rob_size=self.rob_size,
-                latencies=table,
-                hierarchy=self.hierarchy.to_config(),
-                predictor_factory=PREDICTORS[self.predictor],
-                ideal_predictor=self.ideal_predictor,
-            )
-        except ValueError as exc:
-            raise SpecError(f"invalid machine: {exc}") from exc
-
-    @classmethod
-    def from_config(cls, config: ProcessorConfig) -> "MachineSpec":
-        """Describe ``config`` as a spec.
-
-        Raises :class:`SpecError` when the configuration is not
-        expressible — e.g. a predictor factory outside
-        :data:`PREDICTORS` (a ``functools.partial``, a custom class).
-        Callers with such configs fall back to the generic dataclass
-        canonicalization of :mod:`repro.runner.artifacts`.
-        """
-        for name, factory in PREDICTORS.items():
-            if config.predictor_factory is factory:
-                predictor = name
-                break
-        else:
-            raise SpecError(
-                f"predictor factory {config.predictor_factory!r} has no "
-                "spec name; only registry predictors are spec-expressible"
-            )
-        return cls(
-            pipeline_depth=config.pipeline_depth,
-            width=config.width,
-            window_size=config.window_size,
-            rob_size=config.rob_size,
-            predictor=predictor,
-            ideal_predictor=config.ideal_predictor,
-            hierarchy=HierarchySpec.from_config(config.hierarchy),
-            latencies={
-                c.name.lower(): l for c, l in config.latencies.latencies.items()
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "MachineSpec":
-        out = _check_fields(_require_mapping(data, "machine"), cls, "machine")
-        if "hierarchy" in out:
-            out["hierarchy"] = HierarchySpec.from_dict(out["hierarchy"])
-        return _construct(cls, out, "machine")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["latencies"] = dict(sorted(self.latencies.items()))
-        return out
-
-    def canonical(self) -> dict:
-        """The keying form: plain data, fully sorted."""
-        return self.to_dict()
 
 
 # -- workload ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.frontend.events import EventAnnotations
 from repro.isa.instruction import NO_REG
 from repro.isa.opclass import OpClass, writes_register
@@ -44,9 +44,9 @@ class StatisticalTraceGenerator:
     """Samples synthetic traces from a statistical profile."""
 
     def __init__(self, statistics: ProgramStatistics,
-                 config: ProcessorConfig | None = None):
+                 config: MachineSpec | None = None):
         self.statistics = statistics
-        self.config = config or ProcessorConfig()
+        self.config = config or BASELINE
 
     def generate(self, length: int | None = None,
                  seed: int = 0) -> StatisticalTrace:
@@ -212,7 +212,7 @@ class StatisticalTraceGenerator:
 
 def statistical_simulate(
     trace: Trace,
-    config: ProcessorConfig | None = None,
+    config: MachineSpec | None = None,
     length: int | None = None,
     seed: int = 0,
 ):
@@ -224,15 +224,8 @@ def statistical_simulate(
     from repro.simulator.processor import DetailedSimulator
     from repro.statsim.statistics import ProgramStatistics
 
-    cfg = config or ProcessorConfig()
-    collector = MissEventCollector(
-        CollectorConfig(
-            hierarchy=cfg.hierarchy,
-            predictor_factory=cfg.predictor_factory,
-            ideal_predictor=cfg.ideal_predictor,
-        )
-    )
-    profile = collector.collect(trace)
+    cfg = config or BASELINE
+    profile = MissEventCollector(CollectorConfig.of(cfg)).collect(trace)
     stats = ProgramStatistics.collect(trace, profile)
     synthetic = StatisticalTraceGenerator(stats, cfg).generate(length, seed)
     sim = DetailedSimulator(cfg, instrument=False)

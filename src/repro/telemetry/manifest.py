@@ -87,7 +87,7 @@ def build_manifest(
     ``spec`` is the fully-resolved :class:`repro.spec.RunSpec` the run
     used — embedded verbatim (plus its ``content_key``) so the output
     can be re-run from the manifest alone.  ``config`` may be any
-    dataclass (typically a ``ProcessorConfig``); ``cache_stats`` a
+    dataclass (typically a ``MachineSpec``); ``cache_stats`` a
     ``repro.runner.artifacts.CacheStats``.  ``wallclock`` is a
     per-phase breakdown of the run's wall-clock — typically
     :func:`repro.obs.wallclock_summary` over the run's span tree.

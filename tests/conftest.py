@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.config import BASELINE, CacheSpec, HierarchySpec, MachineSpec
 from repro.trace.synthetic import generate_trace
 from repro.trace.trace import Trace
 
@@ -62,7 +62,7 @@ def mcf_trace() -> Trace:
 
 
 @pytest.fixture(scope="session")
-def baseline() -> ProcessorConfig:
+def baseline() -> MachineSpec:
     return BASELINE
 
 
@@ -71,12 +71,10 @@ def small_l2_hierarchy():
     """A pressure hierarchy whose 16 KB L2 produces plenty of long misses
     even on short test traces (the baseline 512 KB L2 absorbs almost all
     of a 4 000-instruction working set after functional warming)."""
-    from repro.memory.config import CacheGeometry, HierarchyConfig
-
-    return HierarchyConfig(
-        l1i=CacheGeometry(1024, 2, 128),
-        l1d=CacheGeometry(1024, 2, 128),
-        l2=CacheGeometry(16 * 1024, 4, 128),
+    return HierarchySpec(
+        l1i=CacheSpec(1024, 2, 128),
+        l1d=CacheSpec(1024, 2, 128),
+        l2=CacheSpec(16 * 1024, 4, 128),
     )
 
 
@@ -93,8 +91,8 @@ def pressure_profile(mcf_trace, small_l2_hierarchy):
 
 
 @pytest.fixture(scope="session")
-def tiny_config() -> ProcessorConfig:
+def tiny_config() -> MachineSpec:
     """A small machine that exercises structural limits quickly."""
-    return ProcessorConfig(
+    return MachineSpec(
         pipeline_depth=3, width=2, window_size=8, rob_size=16
     )

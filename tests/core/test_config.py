@@ -1,8 +1,8 @@
-"""Tests for the shared ProcessorConfig."""
+"""Tests for the shared machine description, :class:`MachineSpec`."""
 
 import pytest
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.config import BASELINE, MachineSpec, SpecError
 
 
 class TestBaseline:
@@ -20,14 +20,14 @@ class TestBaseline:
 
 class TestValidation:
     def test_rob_must_back_window(self):
-        with pytest.raises(ValueError, match="rob_size"):
-            ProcessorConfig(window_size=64, rob_size=32)
+        with pytest.raises(SpecError, match="rob_size"):
+            MachineSpec(window_size=64, rob_size=32)
 
     @pytest.mark.parametrize("field", ["pipeline_depth", "width",
                                        "window_size"])
     def test_positive_fields(self, field):
-        with pytest.raises(ValueError):
-            ProcessorConfig(**{field: 0})
+        with pytest.raises(SpecError):
+            MachineSpec(**{field: 0})
 
 
 class TestFigure2Configs:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from repro.branch.gshare import GShare
 from repro.branch.simple import Bimodal
+from repro.config import CacheSpec, HierarchySpec
 from repro.corun.contention import ADDRESS_OFFSET_BITS, run_contended_pass
 from repro.corun.interleave import interleave_order
 from repro.frontend.collector import CollectorConfig, collect_events
 from repro.isa.opclass import OpClass
 from repro.memory.cache import Cache
-from repro.memory.config import CacheGeometry, HierarchyConfig
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 from repro.spec import InterleaveSpec
 from repro.trace.synthetic import generate_trace
@@ -205,7 +205,7 @@ class TestContendedPass:
 
 
 def tiny_geometries():
-    return st.builds(CacheGeometry, st.sampled_from([512, 1024, 2048]),
+    return st.builds(CacheSpec, st.sampled_from([512, 1024, 2048]),
                      st.sampled_from([1, 2, 4]), st.sampled_from([32, 128]))
 
 
@@ -220,7 +220,7 @@ def coruns(draw):
                           quantum=draw(st.integers(1, 80)))
     weights = draw(st.none() | st.lists(st.sampled_from([0.1, 0.3, 1.0, 2.7]),
                                         min_size=n_work, max_size=n_work))
-    hierarchy = HierarchyConfig(
+    hierarchy = HierarchySpec(
         l1i=draw(tiny_geometries()), l1d=draw(tiny_geometries()),
         l2=draw(tiny_geometries()), ideal_icache=draw(st.booleans()),
         ideal_dcache=draw(st.booleans()))
@@ -260,19 +260,13 @@ def test_contended_pass_matches_scalar_oracle(corun):
 class TestRunCorunEndToEnd:
     @pytest.fixture(scope="class")
     def spec(self, request):
-        from repro.spec import (
-            CoRunSpec,
-            HierarchySpec,
-            MachineSpec,
-            WorkloadSpec,
-        )
+        from repro.spec import CoRunSpec, MachineSpec, WorkloadSpec
 
         small = request.getfixturevalue("small_l2_hierarchy")
         return CoRunSpec(
             workloads=(WorkloadSpec("gzip", LENGTH),
                        WorkloadSpec("mcf", LENGTH)),
-            machine=MachineSpec(
-                hierarchy=HierarchySpec.from_config(small)),
+            machine=MachineSpec(hierarchy=small),
         )
 
     @pytest.fixture(scope="class")

@@ -44,8 +44,7 @@ class TestSurrogate:
             machine = dataclasses.replace(
                 spec.machine, window_size=window, width=width)
             candidate = dataclasses.replace(spec, machine=machine)
-            expected = FirstOrderModel(
-                machine.to_config()).evaluate_trace(gzip_trace).ipc
+            expected = FirstOrderModel(machine).evaluate_trace(gzip_trace).ipc
             assert surrogate.ipc(candidate) == expected
 
     def test_memoizes_profile_and_fit_per_workload(self):

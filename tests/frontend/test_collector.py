@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.config import HierarchySpec
 from repro.frontend.collector import CollectorConfig, MissEventCollector, collect_events
-from repro.memory.config import HierarchyConfig
 
 
 class TestBasicCollection:
@@ -47,7 +47,7 @@ class TestIdealConfigs:
         assert p.misprediction_count == 0
 
     def test_ideal_caches_remove_misses(self, mcf_trace):
-        cfg = CollectorConfig(hierarchy=HierarchyConfig().ideal())
+        cfg = CollectorConfig(hierarchy=HierarchySpec().ideal())
         p = MissEventCollector(cfg).collect(mcf_trace)
         assert p.icache_short_count == 0
         assert p.icache_long_count == 0
@@ -134,6 +134,6 @@ class TestDerivedRates:
         assert p.overlap_factor(256) <= p.overlap_factor(64) + 1e-9
 
     def test_overlap_factor_one_without_misses(self, gzip_trace):
-        cfg = CollectorConfig(hierarchy=HierarchyConfig().ideal())
+        cfg = CollectorConfig(hierarchy=HierarchySpec().ideal())
         p = MissEventCollector(cfg).collect(gzip_trace)
         assert p.overlap_factor(128) == 1.0

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.branch.gshare import GShare
+from repro.config import HierarchySpec
 from repro.frontend.collector import CollectorConfig, MissEventCollector
-from repro.memory.config import HierarchyConfig
 from repro.trace.synthetic import generate_trace
 
 
@@ -74,7 +74,7 @@ def test_warmup_pass_counts(gzip_trace, warmup):
     ids=("ideal-i", "ideal-d", "ideal-both"),
 )
 def test_ideal_cache_streams(mcf_trace, flags):
-    config = CollectorConfig(hierarchy=HierarchyConfig(**flags))
+    config = CollectorConfig(hierarchy=HierarchySpec(**flags))
     assert_profiles_equal(*_profiles(mcf_trace, config))
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import CacheSpec
 from repro.memory.cache import Cache
-from repro.memory.config import CacheGeometry
 
 
 def tiny_cache(assoc=2, sets=2, line=64):
-    return Cache(CacheGeometry(size_bytes=assoc * sets * line,
-                               associativity=assoc, line_bytes=line))
+    return Cache(CacheSpec(size_bytes=assoc * sets * line,
+                           associativity=assoc, line_bytes=line))
 
 
 class TestBasics:
@@ -117,8 +117,8 @@ class TestLRUProperty:
     def test_matches_reference_lru(self, lines):
         """The cache agrees with a straightforward per-set LRU reference
         model on arbitrary access sequences."""
-        geometry = CacheGeometry(size_bytes=2 * 2 * 64, associativity=2,
-                                 line_bytes=64)
+        geometry = CacheSpec(size_bytes=2 * 2 * 64, associativity=2,
+                             line_bytes=64)
         cache = Cache(geometry)
         reference: dict[int, list[int]] = {0: [], 1: []}
         for line in lines:
@@ -136,7 +136,7 @@ class TestLRUProperty:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_occupancy_never_exceeds_capacity(self, lines):
-        geometry = CacheGeometry(1024, 4, 64)
+        geometry = CacheSpec(1024, 4, 64)
         cache = Cache(geometry)
         for line in lines:
             cache.access(line * 64)
@@ -145,7 +145,7 @@ class TestLRUProperty:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=100))
     @settings(max_examples=40, deadline=None)
     def test_immediate_rereference_always_hits(self, lines):
-        cache = Cache(CacheGeometry(1024, 4, 64))
+        cache = Cache(CacheSpec(1024, 4, 64))
         for line in lines:
             cache.access(line * 64)
             assert cache.access(line * 64) is True

@@ -1,14 +1,14 @@
 """Tests for the two-level hierarchy and the short/long miss taxonomy."""
 
-from repro.memory.config import CacheGeometry, HierarchyConfig
+from repro.config import CacheSpec, HierarchySpec
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 
 
 def small_hierarchy(**kw):
-    return CacheHierarchy(HierarchyConfig(
-        l1i=CacheGeometry(256, 2, 64),
-        l1d=CacheGeometry(256, 2, 64),
-        l2=CacheGeometry(1024, 2, 64),
+    return CacheHierarchy(HierarchySpec(
+        l1i=CacheSpec(256, 2, 64),
+        l1d=CacheSpec(256, 2, 64),
+        l2=CacheSpec(1024, 2, 64),
         **kw,
     ))
 

@@ -7,8 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import BASELINE
-from repro.memory.config import CacheGeometry
+from repro.config import BASELINE, CacheSpec
 from repro.runner.artifacts import (
     UncacheableError,
     annotations_artifact,
@@ -61,14 +60,14 @@ def test_key_covers_every_recipe_field():
 
 
 def test_config_changes_change_annotation_keys():
-    base = {"hierarchy": BASELINE.hierarchy,
-            "predictor": BASELINE.predictor_factory}
+    base = {"hierarchy": BASELINE.hierarchy.to_dict(),
+            "predictor": BASELINE.predictor}
     small = dataclasses.replace(
-        BASELINE.hierarchy, l2=CacheGeometry(16 * 1024, 4, 128)
+        BASELINE.hierarchy, l2=CacheSpec(16 * 1024, 4, 128)
     )
     assert (
         artifact_key("annotations", base)
-        != artifact_key("annotations", base | {"hierarchy": small})
+        != artifact_key("annotations", base | {"hierarchy": small.to_dict()})
     )
 
 
@@ -84,6 +83,13 @@ def test_closures_are_uncacheable_but_still_computed():
     assert value == 7
     assert cache_stats().uncacheable == 1
     assert cache_stats().misses == {}  # never reached the disk layer
+
+
+@pytest.mark.parametrize("value", [BASELINE, BASELINE.predictor_factory],
+                         ids=["dataclass", "class"])
+def test_recipes_must_be_plain_data(value):
+    with pytest.raises(UncacheableError):
+        canonicalize({"machine": value})
 
 
 def test_corrupt_entry_is_recomputed_and_repaired(monkeypatch):
@@ -234,7 +240,7 @@ class TestConcurrentAccess:
 
 
 def test_annotations_artifact_round_trip(gzip_trace):
-    kwargs = dict(config=BASELINE, benchmark="gzip",
+    kwargs = dict(machine=BASELINE, benchmark="gzip",
                   length=len(gzip_trace), seed=None)
     first = annotations_artifact(gzip_trace, **kwargs)
     again = annotations_artifact(gzip_trace, **kwargs)

@@ -36,7 +36,7 @@ def _units():
     return [
         WorkUnit(benchmark="gzip", length=LENGTH, tag="a"),
         WorkUnit(benchmark="mcf", length=LENGTH, tag="b"),
-        WorkUnit(benchmark="gzip", length=LENGTH, config=cramped, tag="c"),
+        WorkUnit(benchmark="gzip", length=LENGTH, machine=cramped, tag="c"),
     ]
 
 
@@ -46,7 +46,7 @@ def test_results_match_direct_simulation_in_order():
     for r in results:
         direct = simulate(
             generate_trace(r.unit.benchmark, LENGTH),
-            r.unit.config, instrument=False,
+            r.unit.machine, instrument=False,
         )
         assert r.result.cycles == direct.cycles
     assert stats.units == 3 and stats.jobs == 1

@@ -91,10 +91,16 @@ class TestNormalize:
         ("experiment", {"name": "fig99"}),               # unknown name
         ("model", {"benchmark": "gzip", "chaos": {"explode": 1}}),
         ("model", {"benchmark": "gzip", "chaos": {"sleep": -1}}),
+        ("model", {"benchmark": "gzip", "width": 2.5}),
     ])
     def test_bad_params_rejected(self, op, params):
         with pytest.raises(ProtocolError):
             norm(op, params)
+
+    def test_malformed_machine_json_is_a_protocol_error(self):
+        spec = {"workload": {"benchmark": "gzip"}, "machine": {"width": 2.5}}
+        with pytest.raises(ProtocolError, match="width"):
+            evaluations.normalize_params("model", {"spec": spec})
 
     def test_experiment_short_name_normalizes_to_full(self):
         normalized = evaluations.normalize_params(

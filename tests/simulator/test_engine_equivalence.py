@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.config import BASELINE, MachineSpec
 from repro.frontend.events import EventAnnotations
 from repro.simulator import streaming
 from repro.simulator.processor import DetailedSimulator, simulate
@@ -28,7 +28,7 @@ LENGTHS = (1_500, 3_000)
 #: structural stall (tiny window, shallow ROB, narrow width)
 CONFIGS = (
     BASELINE,
-    ProcessorConfig(pipeline_depth=3, width=2, window_size=8, rob_size=16),
+    MachineSpec(pipeline_depth=3, width=2, window_size=8, rob_size=16),
 )
 
 #: chunk sizes the engine is also fed at, beside the whole trace (the

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.frontend.events import EventAnnotations
 from repro.isa.instruction import NO_REG, Instruction
 from repro.isa.latency import LatencyTable
@@ -32,7 +32,7 @@ def clean_annotations(n):
 def small_machine(**kw):
     defaults = dict(pipeline_depth=3, width=2, window_size=8, rob_size=16)
     defaults.update(kw)
-    return ProcessorConfig(**defaults)
+    return MachineSpec(**defaults)
 
 
 class TestAnalyticalCases:
@@ -144,9 +144,9 @@ class TestAgainstIdealizedSimulator:
         detailed machine approaches the idealized IW simulator."""
         from repro.window.iw_simulator import LimitedWidthIWSimulator
 
-        cfg = ProcessorConfig(
+        cfg = MachineSpec(
             pipeline_depth=1, width=4, window_size=48, rob_size=4096,
-            latencies=LatencyTable.unit(),
+            latencies={c.name.lower(): 1 for c in OpClass},
         )
         detailed = simulate(gzip_trace, cfg,
                             annotations=clean_annotations(len(gzip_trace)))

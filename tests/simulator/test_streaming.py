@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ProcessorConfig
+from repro.config import BASELINE
 from repro.frontend.collector import CollectorConfig, MissEventCollector
 from repro.frontend.streaming import collect_stream
 from repro.simulator.processor import simulate
@@ -35,19 +35,12 @@ def _stream(benchmark: str, n: int, chunk_size: int) -> TraceChunkStream:
     )
 
 
-def _collector_config(cfg: ProcessorConfig) -> CollectorConfig:
-    return CollectorConfig(
-        hierarchy=cfg.hierarchy,
-        predictor_factory=cfg.predictor_factory,
-        warmup_passes=1,
-        ideal_predictor=cfg.ideal_predictor,
-    )
 
 
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 @pytest.mark.parametrize("bench", ["gzip", "mcf"])
 def test_simulate_stream_matches_in_memory(bench, chunk_size):
-    cfg = ProcessorConfig()
+    cfg = BASELINE
     ref = simulate(generate_trace(bench, _N), cfg)
     got = simulate_stream(_stream(bench, _N, chunk_size), cfg)
     assert got.cycles == ref.cycles
@@ -66,11 +59,11 @@ def test_simulate_stream_matches_in_memory(bench, chunk_size):
 
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_streaming_collector_matches_in_memory(chunk_size):
-    cfg = ProcessorConfig()
+    cfg = BASELINE
     trace = generate_trace("vortex", _N)
-    ref = MissEventCollector(_collector_config(cfg)).collect(trace)
+    ref = MissEventCollector(CollectorConfig.of(cfg)).collect(trace)
     got = collect_stream(_stream("vortex", _N, chunk_size),
-                         _collector_config(cfg))
+                         CollectorConfig.of(cfg))
     for field in ("length", "branch_count", "misprediction_count",
                   "fetch_line_accesses", "icache_short_count",
                   "icache_long_count", "load_count", "dcache_short_count",
@@ -99,15 +92,10 @@ def test_streaming_telemetry_matches_in_memory():
 
 
 def test_streaming_warmup_passes_match():
-    cfg = ProcessorConfig()
+    cfg = BASELINE
     trace = generate_trace("gcc", 5_000)
     for passes in (0, 2):
-        config = CollectorConfig(
-            hierarchy=cfg.hierarchy,
-            predictor_factory=cfg.predictor_factory,
-            warmup_passes=passes,
-            ideal_predictor=cfg.ideal_predictor,
-        )
+        config = CollectorConfig.of(cfg, warmup_passes=passes)
         ref = MissEventCollector(config).collect(trace)
         got = collect_stream(_stream("gcc", 5_000, 777), config)
         assert got.misprediction_count == ref.misprediction_count
@@ -157,7 +145,7 @@ def test_engine_rejects_a_feed_that_does_not_cover_length():
     from repro.simulator.processor import DetailedSimulator
     from repro.simulator.streaming import run_fast_stream
 
-    cfg = ProcessorConfig()
+    cfg = BASELINE
     trace = generate_trace("gzip", 2_000)
     ann = DetailedSimulator(cfg).annotate(trace)
     whole = [(0, trace, ann)]

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.config import BASELINE, ProcessorConfig
+from repro.isa.opclass import OpClass
 from repro.spec import (
     EngineSpec,
     MachineSpec,
@@ -191,27 +191,36 @@ class TestValidation:
 
 
 class TestMachineSpec:
-    def test_round_trips_through_processor_config(self):
-        assert MachineSpec().to_config() == BASELINE
-        assert MachineSpec.from_config(BASELINE) == MachineSpec()
-
     def test_custom_config_round_trips(self):
-        config = ProcessorConfig(pipeline_depth=9, width=8,
-                                 window_size=96, rob_size=256)
-        spec = MachineSpec.from_config(config)
-        assert spec.to_config() == config
+        spec = MachineSpec(pipeline_depth=9, width=8,
+                           window_size=96, rob_size=256)
+        assert MachineSpec.from_dict(spec.to_dict()) == spec
 
-    def test_foreign_predictor_factory_is_inexpressible(self):
-        import functools
-
-        from repro.branch.gshare import GShare
-
-        config = dataclasses.replace(
-            BASELINE,
-            predictor_factory=functools.partial(GShare, bits=20),
-        )
+    @pytest.mark.parametrize("machine", [
+        {"width": 2.5},
+        {"pipeline_depth": True},
+        {"ideal_predictor": "yes"},
+        {"ideal_predictor": 1},
+        {"latencies": dict(MachineSpec().latencies, load=2.5)},
+        {"hierarchy": {"l2_latency": 8.5}},
+        {"hierarchy": {"ideal_dcache": 0}},
+        {"hierarchy": {"l1d": {"size_bytes": 4096, "line_bytes": True}}},
+        {"hierarchy": {"l2": {"size_bytes": 4096, "associativity": True}}},
+    ], ids=["float-width", "bool-depth", "str-flag", "int-flag",
+            "float-latency", "float-l2-latency", "int-cache-flag",
+            "bool-line", "bool-ways"])
+    def test_malformed_machine_json_is_rejected(self, machine):
+        """Each of these was accepted before validation was merged into
+        the spec types (a float width crashed only inside the engine; a
+        non-bool flag keyed one result under two content keys)."""
         with pytest.raises(SpecError):
-            MachineSpec.from_config(config)
+            RunSpec.from_dict({"workload": {"benchmark": "gzip"},
+                               "machine": machine})
+
+    def test_latency_table_is_built_once(self):
+        spec = MachineSpec(latencies={**MachineSpec().latencies, "load": 3})
+        assert spec.latency_table is spec.latency_table
+        assert spec.latency_table[OpClass.LOAD] == 3
 
 
 class TestSweep:

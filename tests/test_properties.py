@@ -18,10 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ProcessorConfig
+from repro.config import MachineSpec
 from repro.frontend.events import EventAnnotations
 from repro.isa.instruction import NO_REG, Instruction
-from repro.isa.latency import LatencyTable
 from repro.isa.opclass import OpClass
 from repro.simulator.processor import simulate
 from repro.trace.trace import Trace
@@ -105,9 +104,9 @@ def clean(n):
     )
 
 
-SMALL_MACHINE = ProcessorConfig(
+SMALL_MACHINE = MachineSpec(
     pipeline_depth=3, width=2, window_size=8, rob_size=16,
-    latencies=LatencyTable.unit(),
+    latencies={c.name.lower(): 1 for c in OpClass},
 )
 
 # -- properties ----------------------------------------------------------
@@ -128,7 +127,7 @@ class TestCycleBounds:
         the pipeline fill."""
         r = simulate(trace, SMALL_MACHINE, annotations=clean(len(trace)),
                      instrument=False)
-        lat = trace.latencies(SMALL_MACHINE.latencies)
+        lat = trace.latencies(SMALL_MACHINE.latency_table)
         assert r.cycles <= int(lat.sum()) + SMALL_MACHINE.pipeline_depth + 2
 
     @given(random_programs())
