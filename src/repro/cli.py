@@ -16,9 +16,6 @@ writing any code:
 * ``explore <bench>``     — surrogate-guided design-space search over
   ``--axis`` grids to a detailed-sim-verified Pareto frontier, with
   budgets (``--budget``, ``--wall-clock``) and ``--resume``
-* ``bench [-o FILE]``     — time the simulation kernels and the baseline
-  sweep (reference vs fast engines, cold vs warm artifact cache) and
-  write ``BENCH_perf.json``
 * ``profile <bench>``     — run one simulation with wall-clock span
   tracing on and print the per-stage breakdown (self/total time,
   cache-hit attribution, critical path); ``--jsonl``/``--chrome``
@@ -31,7 +28,13 @@ writing any code:
   ``ingest:<key>`` workload name, runnable by every command above
 * ``stats [bench...]``    — run a sweep and dump the runner/cache
   metrics registry
+* ``trace-info <bench>``  — a workload's chunked trace layout and content
+  keys; ``--extract`` adds the model inputs (see docs/TRACE.md)
 * ``serve``               — start the evaluation service (``repro.service``)
+* ``route``               — start a consistent-hash fleet router over
+  service nodes, optionally spawning them (see docs/FLEET.md)
+* ``fleet-status``        — a running router's topology, health and
+  counters
 * ``submit <op> ...``     — query a running service over its protocol
 * ``list``                — available benchmarks and experiments
 
@@ -426,44 +429,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(claim)
         failures += not claim.holds
     return 1 if failures else 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.runner import artifacts
-    from repro.runner.bench import format_bench, run_bench, write_bench
-    from repro.telemetry.manifest import build_manifest, write_manifest
-
-    spec = None
-    length = args.length if args.length is not None else 30_000
-    if _spec_file_selected(args):
-        spec = _resolved_spec(args)
-        length = spec.workload.length
-        if _maybe_dump_spec(args, spec):
-            return 0
-    runs = 1 if args.quick else args.runs
-    start = time.perf_counter()
-    doc = run_bench(
-        length=length, runs=runs, jobs=args.jobs,
-        progress=lambda msg: print(f"bench: {msg} ...", file=sys.stderr),
-    )
-    elapsed = time.perf_counter() - start
-    print(format_bench(doc))
-    if args.output:
-        write_bench(doc, args.output)
-        print(f"wrote {args.output}")
-        write_manifest(args.output, build_manifest(
-            command="bench",
-            config=BASELINE,
-            spec=spec,
-            wall_seconds=elapsed,
-            cache_stats=artifacts.cache_stats(),
-            wallclock={"total_s": elapsed,
-                       "phases": doc.get("section_seconds", {})},
-            extra={"trace_length": length, "runs": runs},
-        ))
-    return 0
 
 
 def _parse_axis(text: str):
@@ -1326,23 +1291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the result JSON (plus run manifest) here")
     add_spec(p)
     p.set_defaults(func=cmd_explore)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the simulation kernels and the baseline sweep",
-    )
-    p.add_argument("--output", "-o", default=None,
-                   help="also write the JSON document (BENCH_perf.json)")
-    p.add_argument("--length", type=int, default=None,
-                   help="dynamic trace length (default 30000)")
-    add_spec(p)
-    p.add_argument("--runs", type=int, default=3,
-                   help="best-of-N timing repetitions (default 3)")
-    p.add_argument("--quick", action="store_true",
-                   help="single-repetition timings (for CI)")
-    p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="worker processes for the sweep phase")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "profile",

@@ -23,8 +23,8 @@ class Surrogate:
     """Stateless-per-spec, stateful-per-search model evaluator.
 
     One instance per search: it accumulates the evaluation count and
-    wall-clock so the report (and ``repro bench``) can quote the
-    surrogate-vs-detailed cost ratio.
+    wall-clock so the search report can quote the surrogate-vs-detailed
+    cost ratio.
 
     The expensive inputs of :meth:`FirstOrderModel.evaluate_trace` — the
     functional miss-event profile and the unit-latency IW power-law fit

@@ -19,13 +19,10 @@ bit-identical to an in-process run:
 * :mod:`repro.fleet.nodes` — subprocess node management: spawn
   ``repro serve --port 0`` workers with isolated caches, parse their
   ready lines, and :class:`LocalFleet`, the all-in-one harness the
-  bench, the CI smoke job and the failover tests drive.
+  failover tests drive.
 * :mod:`repro.fleet.peers` — ``repro serve --peer``: a node-level
   remote cache-probe hook so even routerless nodes can serve keys a
   sibling already computed.
-* :mod:`repro.fleet.bench` — the ``bench fleet`` scenario: heavy-tail
-  request mix, hot-key skew, a mid-run node kill, rps/p50/p99/hit-ratio
-  vs node count.
 
 See docs/FLEET.md for topology, key-affinity and failover semantics.
 """

@@ -7,8 +7,8 @@ replication observable (shared-cache nodes would trivially "hit").
 ``--port 0`` binds an ephemeral port; the spawner reads the actual
 address back from the ready line, so N nodes never race for ports.
 
-:class:`LocalFleet` composes the pieces into the harness the bench, the
-CI smoke job and the failover tests drive: N spawned nodes behind an
+:class:`LocalFleet` composes the pieces into the harness the failover
+tests drive: N spawned nodes behind an
 in-process :class:`~repro.fleet.router.BackgroundRouter`, with a
 ``kill_node`` chaos switch (SIGKILL — the node gets no goodbye).
 """

@@ -12,8 +12,6 @@ restartable:
 * :mod:`repro.runner.pool` — a work-unit runner that fans
   (benchmark × configuration) simulations out over a process pool, with
   a serial fallback, and reports cache effectiveness per run.
-* :mod:`repro.runner.bench` — the ``repro bench`` measurement harness
-  behind ``BENCH_perf.json``.
 """
 
 from repro.runner.artifacts import (

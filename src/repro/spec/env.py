@@ -14,7 +14,6 @@ the CLI can monkeypatch them per run.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from pathlib import Path
 
@@ -97,34 +96,6 @@ def cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-firstorder"
-
-
-@contextlib.contextmanager
-def cache_disabled_scope():
-    """Temporarily force ``REPRO_CACHE_DISABLE=1`` (bench cold timings)."""
-    prior = os.environ.get("REPRO_CACHE_DISABLE")
-    os.environ["REPRO_CACHE_DISABLE"] = "1"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_CACHE_DISABLE"]
-        else:
-            os.environ["REPRO_CACHE_DISABLE"] = prior
-
-
-@contextlib.contextmanager
-def cache_dir_scope(path):
-    """Temporarily point ``REPRO_CACHE_DIR`` at ``path`` (bench isolation)."""
-    prior = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(path)
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_CACHE_DIR"]
-        else:
-            os.environ["REPRO_CACHE_DIR"] = prior
 
 
 # -- telemetry ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 A long trace is delivered as a sequence of fixed-size *chunks* — each a
 small :class:`~repro.trace.trace.Trace` holding ``chunk_size``
 consecutive instructions in columnar form.  Streaming consumers (the
-functional frontend fast pass, the detailed engine's table builder, the
-bench harness) iterate chunks and never hold more than O(chunk) live
+functional frontend fast pass, the detailed engine's table builder)
+iterate chunks and never hold more than O(chunk) live
 data, which is what makes 10^7-instruction workloads routine.
 
 Two layers live here:

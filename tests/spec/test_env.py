@@ -61,13 +61,6 @@ class TestAccessors:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert env.cache_dir() == tmp_path / "xdg" / "repro-firstorder"
 
-    def test_cache_disabled_scope_restores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-        assert not env.cache_disabled()
-        with env.cache_disabled_scope():
-            assert env.cache_disabled()
-        assert not env.cache_disabled()
-
     def test_telemetry_overrides_only_reflect_set_variables(
             self, monkeypatch):
         for name in env.REGISTRY:

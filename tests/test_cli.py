@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+
+def registered_commands() -> set:
+    """The subcommand names :func:`build_parser` registers."""
+    return {name for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name in action.choices}
 
 
 class TestParser:
@@ -59,6 +70,11 @@ class TestParser:
              "--max-rows", "32"])
         assert args.stream and args.chunk_size == 8192
         assert args.max_rows == 32
+
+    def test_docstring_lists_exactly_the_registered_commands(self):
+        documented = set(re.findall(r"^\* ``([\w-]+)", repro.cli.__doc__,
+                                    re.MULTILINE))
+        assert documented == registered_commands()
 
     def test_serve_slow_request_arg(self):
         args = build_parser().parse_args(

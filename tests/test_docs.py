@@ -13,8 +13,17 @@ import re
 import pytest
 
 import repro
+from tests.test_cli import registered_commands
 
 REPO = pathlib.Path(repro.__file__).resolve().parents[2]
+
+USER_DOCS = ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(
+    str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md"))
+
+#: ``python -m repro <cmd>`` or `` `repro <cmd>`` — but not a process
+#: lane label such as ``repro main (pid N)``
+COMMAND_CITATION = re.compile(
+    r"(?:python3? -m repro|`repro) ([a-z][\w-]*)(?![\w-]| \()")
 
 PACKAGES = [
     "repro", "repro.isa", "repro.trace", "repro.memory", "repro.branch",
@@ -55,6 +64,17 @@ class TestDocumentsExist:
                          "fig08", "fig09", "fig11", "fig14", "fig15",
                          "fig16", "fig17", "fig18", "fig19"):
             assert any(artifact in b for b in benches), artifact
+
+    @pytest.mark.parametrize("name", USER_DOCS)
+    def test_doc_cites_real_commands_and_files(self, name):
+        path = REPO / name
+        text = path.read_text()
+        unknown = set(COMMAND_CITATION.findall(text)) - registered_commands()
+        assert not unknown, unknown
+        for target in re.findall(r"\]\(([^)\s]+)\)", text):
+            if "://" in target or target.startswith("#"):
+                continue
+            assert (path.parent / target.split("#")[0]).exists(), target
 
     def test_at_least_three_examples(self):
         examples = list((REPO / "examples").glob("*.py"))
