@@ -140,9 +140,11 @@ def _resolved_spec(args: argparse.Namespace, benchmark: str | None = None,
     length = getattr(args, "length", None)
     if length is not None:
         overrides.setdefault("workload", {})["length"] = length
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        overrides.setdefault("engine", {})["engine"] = engine
+    if getattr(args, "stream", False):
+        overrides.setdefault("engine", {})["stream"] = True
+    chunk_size = getattr(args, "chunk_size", None)
+    if chunk_size is not None:
+        overrides.setdefault("engine", {})["chunk_size"] = chunk_size
     for section, fields in (extra or {}).items():
         overrides.setdefault(section, {}).update(fields)
     return resolve_spec(path=getattr(args, "spec", None),
@@ -216,13 +218,8 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    engine_overrides: dict = {"instrument": True}
-    if getattr(args, "stream", False):
-        engine_overrides["stream"] = True
-    if getattr(args, "chunk_size", None) is not None:
-        engine_overrides["chunk_size"] = args.chunk_size
     spec = _resolved_spec(args, benchmark=args.benchmark,
-                          extra={"engine": engine_overrides})
+                          extra={"engine": {"instrument": True}})
     if _maybe_dump_spec(args, spec):
         return 0
     collecting = _obs_begin(spec)
@@ -627,15 +624,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         telemetry_overrides["interval"] = args.interval
     if args.max_rows is not None:
         telemetry_overrides["max_timeline_rows"] = args.max_rows
-    extra: dict = {"telemetry": telemetry_overrides}
-    engine_overrides: dict = {}
-    if getattr(args, "stream", False):
-        engine_overrides["stream"] = True
-    if getattr(args, "chunk_size", None) is not None:
-        engine_overrides["chunk_size"] = args.chunk_size
-    if engine_overrides:
-        extra["engine"] = engine_overrides
-    spec = _resolved_spec(args, benchmark=args.benchmark, extra=extra)
+    spec = _resolved_spec(args, benchmark=args.benchmark,
+                          extra={"telemetry": telemetry_overrides})
     if _maybe_dump_spec(args, spec):
         return 0
     workload = spec.workload
@@ -675,20 +665,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.telemetry.metrics import metrics_registry
 
     benchmarks = args.benchmarks or list(BENCHMARK_ORDER)
-    engine_overrides: dict = {}
-    if getattr(args, "stream", False):
-        engine_overrides["stream"] = True
-    if getattr(args, "chunk_size", None) is not None:
-        engine_overrides["chunk_size"] = args.chunk_size
-    spec = _resolved_spec(
-        args, benchmark=benchmarks[0],
-        extra={"engine": engine_overrides} if engine_overrides else None)
+    spec = _resolved_spec(args, benchmark=benchmarks[0])
     if _maybe_dump_spec(args, spec):
         return 0
     units = SweepSpec(base=spec, benchmarks=benchmarks).expand()
     results, stats = run_units(units, jobs=args.jobs)
     for r in results:
-        print(f"{r.unit.benchmark:10s} CPI {r.result.cpi:6.3f}  "
+        print(f"{r.spec.workload.benchmark:10s} CPI {r.result.cpi:6.3f}  "
               f"{r.seconds:6.3f}s")
     print()
     print(stats.summary())
@@ -715,13 +698,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("profile needs a benchmark (or --from-jsonl PATH)",
               file=sys.stderr)
         return 2
-    engine_overrides: dict = {"instrument": True}
-    if getattr(args, "stream", False):
-        engine_overrides["stream"] = True
-    if getattr(args, "chunk_size", None) is not None:
-        engine_overrides["chunk_size"] = args.chunk_size
     spec = _resolved_spec(args, benchmark=args.benchmark,
-                          extra={"engine": engine_overrides,
+                          extra={"engine": {"instrument": True},
                                  "obs": {"enabled": True}})
     if _maybe_dump_spec(args, spec):
         return 0
@@ -1169,8 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the detailed simulator")
     add_bench(p)
     add_spec(p)
-    p.add_argument("--engine", choices=("fast", "reference"), default=None,
-                   help="simulation engine (default: spec/env, else fast)")
     p.add_argument("--stream", action="store_true",
                    help="run the O(chunk)-memory streaming pipeline "
                         "(bit-identical results at any workload length)")
@@ -1308,8 +1284,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of running (router hops and service "
                         "stages show as their own rows)")
     add_spec(p)
-    p.add_argument("--engine", choices=("fast", "reference"), default=None,
-                   help="simulation engine (default: spec/env, else fast)")
     p.add_argument("--stream", action="store_true",
                    help="profile the O(chunk)-memory streaming pipeline")
     p.add_argument("--chunk-size", type=int, default=None, dest="chunk_size",

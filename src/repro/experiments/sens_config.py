@@ -161,14 +161,14 @@ def run(
     sims, _ = run_units(units)
     points = []
     for unit_result in sims:
-        unit = unit_result.unit
-        cfg = unit.machine
+        benchmark = unit_result.spec.workload.benchmark
+        cfg = unit_result.spec.machine
         trace = cached_trace(
-            workload_for(workload, unit.benchmark, trace_length))
+            workload_for(workload, benchmark, trace_length))
         report = FirstOrderModel(cfg).evaluate_trace(trace)
         points.append(
             ConfigPoint(
-                benchmark=unit.benchmark, pipeline_depth=cfg.pipeline_depth,
+                benchmark=benchmark, pipeline_depth=cfg.pipeline_depth,
                 width=cfg.width, window_size=cfg.window_size,
                 model_cpi=report.cpi, sim_cpi=unit_result.result.cpi,
             )

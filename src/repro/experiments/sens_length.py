@@ -67,7 +67,8 @@ class LengthSweepResult:
 
     def checks(self) -> list[Claim]:
         claims = []
-        for bench in {r.benchmark for r in self.rows}:
+        # first-appearance order: a set's order varies with the hash seed
+        for bench in dict.fromkeys(r.benchmark for r in self.rows):
             series = self.series(bench)
             betas = [r.beta for r in series]
             spread = max(betas) - min(betas)

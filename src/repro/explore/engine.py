@@ -34,7 +34,6 @@ from repro.explore.strategies import score_candidates, select_promotions
 from repro.explore.surrogate import Surrogate
 from repro.runner.pool import (
     RunInterrupted,
-    WorkUnit,
     default_jobs,
     run_units,
 )
@@ -133,14 +132,13 @@ def run_search(
                 budget_exhausted = True
                 break
             batch = pending[offset:offset + chunk]
-            units = [WorkUnit.from_spec(candidates[i].spec, tag=str(i))
-                     for i in batch]
+            specs = [candidates[i].spec for i in batch]
             try:
-                results, stats = run_units(units, jobs=jobs,
+                results, stats = run_units(specs, jobs=jobs,
                                            reuse_results=True)
             except RunInterrupted as exc:
                 for unit_result in exc.completed:
-                    journal.record_detailed(int(unit_result.unit.tag),
+                    journal.record_detailed(batch[unit_result.index],
                                             _payload(unit_result.result))
                 done = len(journal.detailed)
                 raise ExploreInterrupted(
@@ -151,7 +149,7 @@ def run_search(
             reg.counter("explore.cache_hits").inc(
                 stats.cache.hits.get("result", 0))
             for unit_result in results:
-                journal.record_detailed(int(unit_result.unit.tag),
+                journal.record_detailed(batch[unit_result.index],
                                         _payload(unit_result.result))
                 executed += 1
                 reg.counter("explore.detailed_runs").inc()

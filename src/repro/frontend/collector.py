@@ -26,7 +26,6 @@ import numpy as np
 from repro.branch.gshare import GShare
 from repro.branch.predictor import BranchPredictor
 from repro.config import BASELINE, HierarchySpec, MachineSpec
-from repro.fastpath import resolve_engine
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 from repro.frontend.events import EventAnnotations, MissEventProfile
 from repro.frontend.fastpass import FastPassPlan, run_fast_pass
@@ -36,6 +35,20 @@ from repro.trace.trace import Trace
 
 #: factory signature for fresh predictors
 PredictorFactory = Callable[[], BranchPredictor]
+
+#: the kernels :class:`MissEventCollector` and
+#: :class:`~repro.simulator.processor.DetailedSimulator` accept: "fast",
+#: the default, and "reference", the direct transcription of the
+#: semantics that the fast kernel is tested against
+ENGINES = ("fast", "reference")
+
+
+def check_engine(engine: str) -> str:
+    """``engine`` if it names a kernel in :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of "
+                         f"{ENGINES}")
+    return engine
 
 
 @dataclass
@@ -79,13 +92,13 @@ class MissEventCollector:
     states: the *reference* pass below walks the trace one
     instruction at a time, the *fast* pass
     (:mod:`repro.frontend.fastpass`) sweeps precomputed index arrays.
-    The fast pass is the default; see :func:`repro.fastpath.default_engine`.
+    The fast pass is the default; the reference pass is the test oracle.
     """
 
     def __init__(self, config: CollectorConfig | None = None,
-                 engine: str | None = None):
+                 engine: str = "fast"):
         self.config = config or CollectorConfig.of(BASELINE)
-        self.engine = resolve_engine(engine)
+        self.engine = check_engine(engine)
 
     def collect(self, trace: Trace, annotate: bool = False) -> MissEventProfile:
         """Measure ``trace`` and return its miss-event profile.
@@ -233,7 +246,7 @@ class MissEventCollector:
 
 def collect_events(
     trace: Trace, config: CollectorConfig | None = None,
-    engine: str | None = None,
+    engine: str = "fast",
 ) -> MissEventProfile:
     """Convenience wrapper around :class:`MissEventCollector`."""
     return MissEventCollector(config, engine=engine).collect(trace)

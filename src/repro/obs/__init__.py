@@ -7,11 +7,12 @@ cache, simulators, and the asyncio service.  It is strictly opt-in
 overhead when off: instrumentation sites call :func:`span`, which
 returns one shared no-op object while collection is disabled.
 
-Span context serializes across the process-pool boundary (``WorkUnit``
-carries it; workers re-root under it and ship finished spans back with
-their results) and across the service protocol (a ``trace`` field in
-the request envelope), so one ``repro submit`` yields a single
-connected trace spanning client, scheduler, batch, worker and cache.
+Span context serializes across the process-pool boundary (it travels
+next to each ``RunSpec`` in the worker's arguments; workers re-root
+under it and ship finished spans back with their results) and across
+the service protocol (a ``trace`` field in the request envelope), so
+one ``repro submit`` yields a single connected trace spanning client,
+scheduler, batch, worker and cache.
 See ``docs/OBSERVABILITY.md``.
 """
 

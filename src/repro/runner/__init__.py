@@ -9,8 +9,8 @@ restartable:
   on-disk cache for those intermediates, keyed by the full recipe
   (benchmark, length, seed, configuration) so a stale entry can never be
   returned for a changed configuration.
-* :mod:`repro.runner.pool` — a work-unit runner that fans
-  (benchmark × configuration) simulations out over a process pool, with
+* :mod:`repro.runner.pool` — a runner that fans
+  :class:`~repro.spec.RunSpec` simulations out over a process pool, with
   a serial fallback, and reports cache effectiveness per run.
 """
 
@@ -31,10 +31,8 @@ from repro.runner.pool import (
     RunInterrupted,
     RunnerStats,
     UnitResult,
-    WorkUnit,
     default_jobs,
     execute_spec,
-    execute_unit,
     run_units,
     set_default_jobs,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "RunInterrupted",
     "RunnerStats",
     "UnitResult",
-    "WorkUnit",
     "annotations_artifact",
     "artifact_key",
     "cache_enabled",
@@ -53,7 +50,6 @@ __all__ = [
     "cached_artifact",
     "default_jobs",
     "execute_spec",
-    "execute_unit",
     "probe_artifact",
     "reset_cache_stats",
     "run_units",

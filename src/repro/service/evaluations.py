@@ -5,7 +5,7 @@ entry points and returns a plain-JSON payload:
 
 * ``model``      — :class:`repro.core.model.FirstOrderModel` (Eq. 1)
 * ``simulate``   — the detailed simulator via the artifact-cached
-  :func:`repro.runner.pool.execute_unit`
+  :func:`repro.runner.pool.execute_spec`
 * ``compare``    — model vs simulation for a benchmark list (Fig. 15)
 * ``experiment`` — any registered paper experiment, formatted
 * ``explore``    — a surrogate-guided design-space search
@@ -148,17 +148,15 @@ def flat_params_to_spec(op: str, params: dict):
     """The :class:`repro.spec.RunSpec` a flat param dict describes.
 
     This is the vocabulary the pre-spec wire format used — benchmark /
-    length / seed / config-override knobs / engine — validated with the
+    length / seed / config-override knobs — validated with the
     same checks and mapped onto the typed spec.  Used by
     :class:`~repro.service.client.ServiceClient`'s convenience wrappers,
     which keep their flat keyword signature but build spec payloads
     client-side (the server itself accepts only ``{"spec": ...}``).
     """
-    from repro.spec import EngineSpec, RunSpec, WorkloadSpec
+    from repro.spec import RunSpec, SpecError, WorkloadSpec
 
     known = {"benchmark", "length", "seed"} | set(CONFIG_FIELDS)
-    if op == "simulate":
-        known |= {"engine"}
     unknown = set(params) - known
     if unknown:
         raise ProtocolError(
@@ -170,24 +168,12 @@ def flat_params_to_spec(op: str, params: dict):
                              or isinstance(seed, bool)):
         raise ProtocolError("'seed' must be an integer")
     machine = build_config(params)
-    engine_name = "fast"
-    if op == "simulate":
-        engine = params.get("engine")
-        if engine is not None and engine not in ("reference", "fast"):
-            raise ProtocolError("'engine' must be 'reference' or 'fast'")
-        engine_name = engine or "fast"
-    from repro.spec import SpecError
-
     try:
         workload = WorkloadSpec(benchmark=benchmark, length=length,
                                 seed=seed)
     except SpecError as exc:  # e.g. a seed on an ingest workload
         raise ProtocolError(f"invalid workload: {exc}") from exc
-    return RunSpec(
-        workload=workload,
-        machine=machine,
-        engine=EngineSpec(engine=engine_name),
-    )
+    return RunSpec(workload=workload, machine=machine)
 
 
 def _parse_spec(payload):

@@ -45,8 +45,11 @@ import logging
 from collections import deque
 
 from repro.config import BASELINE, MachineSpec
-from repro.fastpath import resolve_engine
-from repro.frontend.collector import CollectorConfig, MissEventCollector
+from repro.frontend.collector import (
+    CollectorConfig,
+    MissEventCollector,
+    check_engine,
+)
 from repro.frontend.events import EventAnnotations
 from repro.simulator.results import Instrumentation, SimResult
 from repro.telemetry.accountant import (
@@ -99,17 +102,16 @@ class DetailedSimulator:
     (:func:`repro.simulator.streaming.run_fast_stream`, fed the whole
     trace as one chunk) is event-driven with quiescent-cycle skipping.
     Equivalence is enforced by the regression suite; the fast engine is
-    the default.
+    the default and the reference engine is the test oracle.
     """
 
     def __init__(self, config: MachineSpec | None = None,
-                 instrument: bool = True, engine=None,
+                 instrument: bool = True, engine: str = "fast",
                  telemetry=None):
         self.config = config or BASELINE
         self.instrument = instrument
-        #: ``engine`` accepts a name, an :class:`repro.spec.EngineSpec`,
-        #: or ``None`` (the ``REPRO_SIM_ENGINE``-then-``fast`` fallback)
-        self.engine = resolve_engine(engine)
+        #: one of :data:`repro.frontend.collector.ENGINES`
+        self.engine = check_engine(engine)
         #: telemetry opt-in: ``None`` defers to ``REPRO_TELEMETRY``,
         #: ``True``/a :class:`TelemetryConfig`/a
         #: :class:`repro.spec.TelemetrySpec` collects with (those)
@@ -123,12 +125,8 @@ class DetailedSimulator:
     @classmethod
     def from_spec(cls, spec) -> "DetailedSimulator":
         """The simulator a :class:`repro.spec.RunSpec` describes."""
-        return cls(
-            spec.machine,
-            instrument=spec.engine.instrument,
-            engine=spec.engine,
-            telemetry=spec.telemetry,
-        )
+        return cls(spec.machine, instrument=spec.engine.instrument,
+                   telemetry=spec.telemetry)
 
     def _telemetry_session(self) -> Telemetry | None:
         """A fresh (or the caller's) session for one run, or ``None``."""
@@ -416,7 +414,7 @@ def simulate(
     config: MachineSpec | None = None,
     annotations: EventAnnotations | None = None,
     instrument: bool = True,
-    engine=None,
+    engine: str = "fast",
     telemetry=None,
 ) -> SimResult:
     """Convenience wrapper around :class:`DetailedSimulator`.

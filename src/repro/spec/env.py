@@ -22,8 +22,6 @@ from pathlib import Path
 REGISTRY: dict[str, tuple[str, str]] = {
     "REPRO_SPEC": (
         "spec", "path of a RunSpec JSON file merged during resolution"),
-    "REPRO_SIM_ENGINE": (
-        "engine", "simulation engine: 'fast' (default) or 'reference'"),
     "REPRO_CACHE_DIR": (
         "cache", "artifact-cache root (default $XDG_CACHE_HOME/repro-firstorder)"),
     "REPRO_CACHE_DISABLE": (
@@ -65,19 +63,6 @@ def _get(name: str) -> str | None:
 def spec_file() -> str | None:
     """``REPRO_SPEC`` — spec file merged by :func:`resolve_spec`."""
     return _get("REPRO_SPEC") or None
-
-
-# -- engine ------------------------------------------------------------------
-
-
-def sim_engine() -> str | None:
-    """``REPRO_SIM_ENGINE`` normalized to lower case, or ``None``.
-
-    Validation lives with the engine registry in
-    :mod:`repro.fastpath`; this just reads.
-    """
-    name = (_get("REPRO_SIM_ENGINE") or "").strip().lower()
-    return name or None
 
 
 # -- artifact cache ----------------------------------------------------------

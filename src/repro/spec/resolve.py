@@ -4,7 +4,7 @@ Four layers, later wins, each one explicit and testable:
 
 1. **package defaults** — the dataclass defaults (the paper baseline);
 2. **spec file** — ``--spec path.json`` or ``REPRO_SPEC=path.json``;
-3. **environment** — the ``REPRO_*`` registry (engine, telemetry);
+3. **environment** — the ``REPRO_*`` registry (telemetry, obs);
 4. **overrides** — CLI flags, passed as a (possibly nested) dict.
 
 The result is a fully-validated :class:`RunSpec`; resolution failures
@@ -52,9 +52,6 @@ def _env_layer() -> dict:
     call sites.
     """
     layer: dict = {}
-    engine = env.sim_engine()
-    if engine is not None:
-        layer["engine"] = {"engine": engine}
     telemetry = env.telemetry_overrides()
     if telemetry:
         layer["telemetry"] = telemetry

@@ -18,10 +18,10 @@ Keying rules
 the machine, the fully-resolved workload (``seed=None`` resolves to the
 benchmark profile's deterministic default *before* keying — the seed
 never aliases), and the ``instrument`` flag (it changes the payload).
-The engine is deliberately excluded — the fast and reference kernels are
-bit-identical (enforced by the equivalence suite) — and telemetry is
-excluded because it only observes (disabled telemetry is bit-identical,
-also enforced).
+The streaming knobs are deliberately excluded — the in-memory and
+streaming paths are bit-identical (enforced by the equivalence suite) —
+and telemetry is excluded because it only observes (disabled telemetry
+is bit-identical, also enforced).
 
 :class:`SweepSpec` turns a parameter sweep into data: a base spec, a
 benchmark axis and dotted-path value axes expand deterministically into
@@ -157,18 +157,15 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """How to execute: kernel choice and runner knobs.
+    """How to execute: instrumentation and the streaming pipeline.
 
     Nothing here may change a simulation's *result* (the equivalence
-    suite enforces engine bit-identity), which is why no field of this
-    spec except ``instrument`` — which changes the payload shape —
+    suite enforces streaming bit-identity), which is why no field of
+    this spec except ``instrument`` — which changes the payload shape —
     participates in :meth:`RunSpec.content_key`.
     """
 
-    engine: str = "fast"
     instrument: bool = False
-    jobs: int | None = None
-    reuse_results: bool = False
     #: run the O(chunk)-memory streaming pipeline (chunked trace
     #: delivery -> streaming functional pass -> streaming detailed
     #: engine); bit-identical to the in-memory path for every chunk size
@@ -178,18 +175,6 @@ class EngineSpec:
     chunk_size: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.fastpath import ENGINES
-
-        if self.engine not in ENGINES:
-            raise SpecError(
-                f"unknown engine {self.engine!r}; one of {ENGINES}")
-        if self.jobs is not None and (
-                not isinstance(self.jobs, int) or self.jobs < 1):
-            raise SpecError("jobs must be a positive integer or null")
-        if self.stream and self.engine != "fast":
-            raise SpecError(
-                "the streaming pipeline is built on the fast kernels; "
-                "engine must be 'fast' when stream is set")
         if self.chunk_size is not None and (
                 not isinstance(self.chunk_size, int) or self.chunk_size < 1):
             raise SpecError("chunk_size must be a positive integer or null")
@@ -375,9 +360,10 @@ class RunSpec:
         """What the simulation *result* is a pure function of.
 
         The machine, the resolved workload, and the ``instrument`` flag
-        (it changes the stored payload).  Engine and telemetry are
-        excluded — see the class docstrings for why that exclusion is
-        sound, and the equivalence suite for the tests that keep it so.
+        (it changes the stored payload).  The streaming knobs and
+        telemetry are excluded — see the class docstrings for why that
+        exclusion is sound, and the equivalence suite for the tests that
+        keep it so.
         """
         return {
             "spec_schema": SPEC_SCHEMA,

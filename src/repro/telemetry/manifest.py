@@ -1,10 +1,10 @@
 """Per-run reproducibility manifests.
 
 An experiment output file without its provenance is a dead end: six
-months later nobody knows which configuration, seed, engine or code
-revision produced it.  ``write_manifest`` drops a ``run_manifest.json``
-next to experiment outputs recording everything needed to re-run them —
-the machine configuration, trace seeds, selected engine, ``git
+months later nobody knows which configuration, seed or code revision
+produced it.  ``write_manifest`` drops a ``run_manifest.json`` next to
+experiment outputs recording everything needed to re-run them — the
+machine configuration, trace seeds, the resolved run spec, ``git
 describe`` of the working tree, cache effectiveness and wall-clock.
 """
 
@@ -76,7 +76,6 @@ def build_manifest(
     config=None,
     spec=None,
     seed: int | None = None,
-    engine: str | None = None,
     wall_seconds: float | None = None,
     cache_stats=None,
     wallclock: dict | None = None,
@@ -95,16 +94,12 @@ def build_manifest(
     """
     from repro.spec import env as specenv
 
-    if engine is None:
-        engine = spec.engine.engine if spec is not None else (
-            specenv.sim_engine() or "fast")
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_describe": git_describe(),
-        "engine": engine,
         "seed": seed,
         "machine": {
             "python": platform.python_version(),

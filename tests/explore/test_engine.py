@@ -17,7 +17,7 @@ from repro.explore import (
     run_search,
 )
 from repro.explore.space import BudgetSpec, design_cost
-from repro.runner.pool import WorkUnit, run_units
+from repro.runner.pool import run_units
 from repro.spec import RunSpec, WorkloadSpec
 from repro.telemetry.metrics import metrics_registry
 
@@ -77,10 +77,8 @@ class TestAcceptance:
         """The acceptance bar: the surrogate-guided search must find
         exactly the frontier a full detailed sweep finds."""
         candidates = ACCEPTANCE.candidates()
-        results, _ = run_units(
-            [WorkUnit.from_spec(c.spec, tag=str(c.index))
-             for c in candidates],
-            reuse_results=True)
+        results, _ = run_units([c.spec for c in candidates],
+                               reuse_results=True)
         exhaustive = pareto_frontier([
             FrontierPoint(index=c.index, values=c.values, cost=c.cost,
                           ipc=float(r.result.ipc))

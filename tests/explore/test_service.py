@@ -49,7 +49,7 @@ class TestNormalization:
         plain = SearchSpec(base=BASE, axes=AXES)
         dressed = SearchSpec(
             base=RunSpec(workload=BASE.workload,
-                         engine=EngineSpec(engine="reference", jobs=3),
+                         engine=EngineSpec(stream=True, chunk_size=512),
                          telemetry=TelemetrySpec(enabled=True)),
             axes=AXES)
         a = normalize_params("explore", params(plain))

@@ -155,7 +155,7 @@ class TestContentKey:
         plain = SearchSpec(base=BASE, axes=AXES)
         dressed = SearchSpec(
             base=RunSpec(workload=BASE.workload,
-                         engine=EngineSpec(engine="reference"),
+                         engine=EngineSpec(stream=True, chunk_size=512),
                          telemetry=TelemetrySpec(enabled=True)),
             axes=AXES)
         assert plain.content_key() == dressed.content_key()

@@ -72,11 +72,12 @@ class TestPipelining:
         assert len(results) == 4
         # distinct seeds -> distinct results, each matched to its request
         assert len({r["cycles"] for r in results}) >= 2
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
 
         for seed, r in zip(range(4), results):
-            direct = execute_unit(WorkUnit(benchmark="gzip", length=LENGTH,
-                                           seed=seed))
+            direct = execute_spec(RunSpec(workload=WorkloadSpec(
+                "gzip", length=LENGTH, seed=seed)))
             assert r["cycles"] == direct.cycles, f"seed {seed} mismatched"
 
     def test_cache_hit_overtakes_a_compute(self, node):

@@ -30,7 +30,8 @@ def _payloads(count: int) -> list[dict]:
 
 class TestFleetCorrectness:
     def test_three_node_fleet_is_bit_identical_to_in_process(self, tmp_path):
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
 
         with LocalFleet(3, tmp_path) as fleet:
             with ServiceClient(fleet.host, fleet.port,
@@ -38,8 +39,8 @@ class TestFleetCorrectness:
                 served = [client.evaluate("simulate", p)
                           for p in _payloads(4)]
         for seed, result in enumerate(served):
-            direct = execute_unit(WorkUnit(benchmark="gzip", length=LENGTH,
-                                           seed=seed))
+            direct = execute_spec(RunSpec(workload=WorkloadSpec(
+                "gzip", length=LENGTH, seed=seed)))
             assert result["cycles"] == direct.cycles
             assert result["cpi"] == direct.cpi
 

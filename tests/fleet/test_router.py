@@ -58,12 +58,14 @@ class TestProtocol:
 
 class TestBitIdentity:
     def test_routed_simulate_equals_in_process(self, fleet2):
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
 
         router, _, _ = fleet2
         with ServiceClient(router.host, router.port) as client:
             served = client.simulate("gzip", length=LENGTH)
-        direct = execute_unit(WorkUnit(benchmark="gzip", length=LENGTH))
+        direct = execute_spec(RunSpec(workload=WorkloadSpec(
+            "gzip", length=LENGTH)))
         assert served["cycles"] == direct.cycles
         assert served["cpi"] == direct.cpi  # exact — floats survive JSON
 

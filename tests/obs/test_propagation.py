@@ -13,10 +13,15 @@ import os
 
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.runner.pool import WorkUnit, run_units
+from repro.runner.pool import run_units
 from repro.service import BackgroundServer, SchedulerConfig, ServiceClient
+from repro.spec import RunSpec, WorkloadSpec
 
 LENGTH = 2_000
+
+
+def _spec(benchmark):
+    return RunSpec(workload=WorkloadSpec(benchmark, length=LENGTH))
 
 
 def assert_connected(spans, root_id):
@@ -42,10 +47,7 @@ class TestPoolPropagation:
     def test_worker_spans_share_the_trace_and_parent_to_root(self):
         _spans.enable(True)
         _spans.reset()
-        units = [
-            WorkUnit(benchmark="gzip", length=LENGTH),
-            WorkUnit(benchmark="mcf", length=LENGTH),
-        ]
+        units = [_spec("gzip"), _spec("mcf")]
         with span("test.sweep") as root:
             results, _ = run_units(units, jobs=2)
         root_id = root.record["span_id"]
@@ -71,7 +73,7 @@ class TestPoolPropagation:
         _spans.enable(True)
         _spans.reset()
         results, _ = run_units(
-            [WorkUnit(benchmark="gzip", length=LENGTH)], jobs=1)
+            [_spec("gzip")], jobs=1)
         assert len(results) == 1
         spans = _spans.drain()
         unit = next(s for s in spans if s["name"] == "runner.unit")

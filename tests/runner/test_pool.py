@@ -9,13 +9,14 @@ import pytest
 from repro.config import BASELINE
 from repro.runner import (
     RunInterrupted,
-    WorkUnit,
     default_jobs,
+    execute_spec,
     reset_cache_stats,
     run_units,
     set_default_jobs,
 )
 from repro.simulator.processor import simulate
+from repro.spec import EngineSpec, RunSpec, TelemetrySpec, WorkloadSpec
 from repro.trace.synthetic import generate_trace
 
 LENGTH = 2_000
@@ -31,22 +32,25 @@ def fresh_cache(tmp_path, monkeypatch):
     set_default_jobs(None)
 
 
+def _spec(benchmark, machine=BASELINE, length=LENGTH):
+    return RunSpec(workload=WorkloadSpec(benchmark, length=length),
+                   machine=machine)
+
+
 def _units():
     cramped = dataclasses.replace(BASELINE, window_size=16, rob_size=32)
-    return [
-        WorkUnit(benchmark="gzip", length=LENGTH, tag="a"),
-        WorkUnit(benchmark="mcf", length=LENGTH, tag="b"),
-        WorkUnit(benchmark="gzip", length=LENGTH, machine=cramped, tag="c"),
-    ]
+    return [_spec("gzip"), _spec("mcf"), _spec("gzip", machine=cramped)]
 
 
 def test_results_match_direct_simulation_in_order():
-    results, stats = run_units(_units(), jobs=1)
-    assert [r.unit.tag for r in results] == ["a", "b", "c"]
+    units = _units()
+    results, stats = run_units(units, jobs=1)
+    assert [r.index for r in results] == [0, 1, 2]
+    assert [r.spec for r in results] == units
     for r in results:
         direct = simulate(
-            generate_trace(r.unit.benchmark, LENGTH),
-            r.unit.machine, instrument=False,
+            generate_trace(r.spec.workload.benchmark, LENGTH),
+            r.spec.machine, instrument=False,
         )
         assert r.result.cycles == direct.cycles
     assert stats.units == 3 and stats.jobs == 1
@@ -85,6 +89,22 @@ def test_reuse_results_skips_simulation():
     ]
 
 
+@pytest.mark.parametrize("stream", [False, True],
+                         ids=["in-memory", "streaming"])
+def test_spec_telemetry_writes_its_event_file(tmp_path, stream):
+    """The spec, not the environment, decides what a run measures: a
+    spec asking for an event trace writes it on either path, and the
+    result equals the telemetry-off run."""
+    trace_path = tmp_path / "events.jsonl"
+    plain = RunSpec(workload=WorkloadSpec("gzip", length=LENGTH),
+                    engine=EngineSpec(stream=stream, chunk_size=512))
+    traced = dataclasses.replace(plain, telemetry=TelemetrySpec(
+        enabled=True, trace_path=str(trace_path)))
+    measured = execute_spec(traced)
+    assert trace_path.stat().st_size > 0
+    assert measured == execute_spec(plain)
+
+
 def test_default_jobs_override():
     set_default_jobs(3)
     assert default_jobs() == 3
@@ -101,12 +121,14 @@ class TestShutdown:
             run_units(_units(), jobs=2)
         exc = err.value
         assert "worker process died" in str(exc)
-        assert [u.benchmark for u in exc.pending].count("mcf") == 1
+        assert [s.workload.benchmark
+                for s in exc.pending].count("mcf") == 1
         assert len(exc.completed) + len(exc.pending) == 3
         # the completed results are real, ordered unit outcomes
         for outcome in exc.completed:
             assert outcome.result.cycles > 0
-            assert outcome.unit.benchmark != "mcf"
+            assert outcome.spec.workload.benchmark != "mcf"
+            assert outcome.spec == _units()[outcome.index]
 
     def test_interrupt_in_serial_loop_preserves_partial_results(
             self, monkeypatch):
@@ -125,9 +147,8 @@ class TestShutdown:
         with pytest.raises(RunInterrupted) as err:
             run_units(_units(), jobs=1)
         exc = err.value
-        assert len(exc.completed) == 2
-        assert len(exc.pending) == 1
-        assert exc.pending[0].tag == "c"
+        assert [r.index for r in exc.completed] == [0, 1]
+        assert exc.pending == _units()[2:]
         assert isinstance(exc.__cause__, KeyboardInterrupt)
 
     def test_interrupted_sweep_can_resume_from_pending(self, monkeypatch):
@@ -137,16 +158,17 @@ class TestShutdown:
         monkeypatch.delenv("REPRO_CHAOS_KILL_BENCH")
         resumed, _ = run_units(err.value.pending, jobs=1)
         full, _ = run_units(_units(), jobs=1)
-        by_tag = {r.unit.tag: r.result.cycles for r in full}
+        by_key = {r.spec.content_key(): r.result.cycles for r in full}
         for outcome in list(err.value.completed) + list(resumed):
-            assert outcome.result.cycles == by_tag[outcome.unit.tag]
+            assert (outcome.result.cycles
+                    == by_key[outcome.spec.content_key()])
 
 
 def test_run_units_publishes_metrics():
     from repro.telemetry.metrics import metrics_registry, reset_metrics
 
     reset_metrics()
-    units = [WorkUnit(benchmark="gzip", length=1_500)]
+    units = [_spec("gzip", length=1_500)]
     results, stats = run_units(units, jobs=1)
     reg = metrics_registry()
     assert reg.counter("runner.runs").value == 1

@@ -118,11 +118,13 @@ class TestEvaluate:
             + payload["cpi_dcache"])
 
     def test_simulate_matches_in_process_execution(self):
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
 
         params = norm("simulate", {"benchmark": "gzip", "length": 2000})
         payload = evaluations.evaluate("simulate", params)
-        direct = execute_unit(WorkUnit(benchmark="gzip", length=2000))
+        direct = execute_spec(RunSpec(workload=WorkloadSpec(
+            "gzip", length=2000)))
         assert payload["cycles"] == direct.cycles
         assert payload["instructions"] == direct.instructions
         assert payload["cpi"] == direct.cpi  # bit-identical, not approx

@@ -50,11 +50,13 @@ class TestCorrectness:
         assert pong["pong"] and pong["protocol"] == 1
 
     def test_simulate_is_bit_identical_to_in_process(self, service):
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
 
         with ServiceClient(service.host, service.port) as client:
             served = client.simulate("gzip", length=LENGTH)
-        direct = execute_unit(WorkUnit(benchmark="gzip", length=LENGTH))
+        direct = execute_spec(RunSpec(workload=WorkloadSpec(
+            "gzip", length=LENGTH)))
         assert served["cycles"] == direct.cycles
         assert served["instructions"] == direct.instructions
         assert served["cpi"] == direct.cpi  # exact — floats survive JSON
@@ -170,7 +172,8 @@ class TestBackpressure:
 class TestWorkerCrash:
     def test_killed_worker_retries_to_a_correct_result(
             self, service, tmp_path):
-        from repro.runner.pool import WorkUnit, execute_unit
+        from repro.runner.pool import execute_spec
+        from repro.spec import RunSpec, WorkloadSpec
         from repro.telemetry.metrics import metrics_registry
 
         flag = tmp_path / "killed-once"
@@ -181,7 +184,8 @@ class TestWorkerCrash:
         assert response["ok"], response
         assert flag.exists(), "the chaos kill never fired"
         assert response["meta"]["attempts"] >= 2
-        direct = execute_unit(WorkUnit(benchmark="vortex", length=LENGTH))
+        direct = execute_spec(RunSpec(workload=WorkloadSpec(
+            "vortex", length=LENGTH)))
         assert response["result"]["cycles"] == direct.cycles
         assert response["result"]["cpi"] == direct.cpi
         registry = metrics_registry()

@@ -110,16 +110,17 @@ def test_equivalence_under_miss_pressure(mcf_trace, small_l2_hierarchy):
     assert_equivalent(fast, ref)
 
 
-def test_engine_env_override(monkeypatch, gzip_trace):
+def test_engine_is_a_constructor_argument_only(monkeypatch):
+    from repro.frontend.collector import MissEventCollector
+
+    # no environment fallback: the reference loops are reached only by
+    # naming them, and a stray variable changes nothing
     monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-    assert DetailedSimulator().engine == "reference"
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
     assert DetailedSimulator().engine == "fast"
-    with pytest.raises(ValueError):
-        DetailedSimulator(engine="warp")
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-    with pytest.raises(ValueError):
-        DetailedSimulator()
+    assert MissEventCollector().engine == "fast"
+    for component in (DetailedSimulator, MissEventCollector):
+        with pytest.raises(ValueError):
+            component(engine="warp")
 
 
 @pytest.mark.slow

@@ -6,24 +6,37 @@ engine and the chunk-streamed pipeline (streaming functional pass into
 :func:`~repro.simulator.streaming.run_fast_stream`) at a drawn chunk
 size.  The caches are tiny so misses, long-miss overlap and ROB stalls
 all occur on a few hundred instructions.
+
+Hand-built pathological ``(Trace, EventAnnotations)`` pairs push each
+miss-event class to its extreme, where a generator seldom goes.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PREDICTORS, CacheSpec, HierarchySpec, MachineSpec
+from repro.frontend.events import EventAnnotations
+from repro.isa.instruction import NO_REG
 from repro.isa.opclass import OpClass
 from repro.simulator import streaming
 from repro.simulator.processor import DetailedSimulator
 from repro.simulator.streaming import simulate_stream
+from repro.telemetry.session import Telemetry
 from repro.trace.chunks import TraceChunkStream
 from repro.trace.profiles import BENCHMARK_ORDER
 from repro.trace.synthetic import generate_trace
-from tests.simulator.test_engine_equivalence import assert_equivalent
+from repro.trace.trace import Trace
+from tests.simulator.test_engine_equivalence import (
+    CONFIGS,
+    _annotation_slice,
+    assert_equivalent,
+)
 
 
 @st.composite
@@ -84,3 +97,80 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
         streamed = simulate_stream(_chunked(trace, chunk_size), machine,
                                    telemetry=False)
     assert_equivalent(streamed, ref)
+
+
+#: instructions in each pathological trace
+_N = 300
+
+
+def _pathological(case: str, machine: MachineSpec):
+    """The ``(trace, annotations)`` pair named ``case`` for ``machine``."""
+    idx = np.arange(_N)
+    none = np.full(_N, NO_REG)
+    op = np.full(_N, int(OpClass.IALU))
+    dst, src1 = (idx % 32) + 1, none
+    fetch_stall = np.zeros(_N, dtype=np.int32)
+    load_extra = np.zeros(_N, dtype=np.int32)
+    long_miss = np.zeros(_N, dtype=np.bool_)
+    mispredicted = np.zeros(_N, dtype=np.bool_)
+    memory = machine.hierarchy.memory_latency
+    if case == "all-mispredicted":
+        op[:] = int(OpClass.BRANCH)
+        dst = none
+        mispredicted[:] = True
+    elif case == "all-long-loads":
+        op[:] = int(OpClass.LOAD)
+        load_extra[:] = memory
+        long_miss[:] = True
+    elif case == "imiss-every-line":
+        # four 4-byte instructions per 16-byte line; the line's first
+        # instruction carries its stall, alternating L2 hit and miss
+        starts = idx % 4 == 0
+        fetch_stall[starts] = np.where(idx[starts] % 8 == 0, memory,
+                                       machine.hierarchy.l2_latency)
+    elif case == "one-chain":
+        op[:] = np.array([OpClass.IALU, OpClass.IMUL, OpClass.LOAD])[idx % 3]
+        dst = src1 = np.ones(_N)
+        load_extra[op == OpClass.LOAD] = machine.hierarchy.l2_latency
+    elif case != "no-dependences":
+        raise ValueError(case)
+    trace = Trace(pc=0x1000 + 4 * idx, opclass=op, dst=dst, src1=src1,
+                  src2=none, addr=np.where(op == OpClass.LOAD,
+                                           0x10_0000 + 64 * idx, 0),
+                  taken=np.zeros(_N, dtype=np.bool_),
+                  target=np.zeros(_N), name=case)
+    return trace, EventAnnotations(fetch_stall=fetch_stall,
+                                   load_extra=load_extra,
+                                   long_miss=long_miss,
+                                   mispredicted=mispredicted)
+
+
+@pytest.mark.parametrize("machine", CONFIGS, ids=("baseline", "cramped"))
+@pytest.mark.parametrize("case", ("all-mispredicted", "all-long-loads",
+                                  "imiss-every-line", "one-chain",
+                                  "no-dependences"))
+def test_engines_agree_on_pathological_traces(case, machine):
+    trace, annotations = _pathological(case, machine)
+    sims = {engine: DetailedSimulator(machine, engine=engine, telemetry=True)
+            for engine in ("reference", "fast")}
+    ref, fast = (sim.run(trace, annotations) for sim in sims.values())
+    # every annotated event reaches the timing model
+    assert ref.misprediction_count == annotations.mispredicted.sum()
+    assert ref.dcache_long_count == annotations.long_miss.sum()
+    assert (ref.icache_short_count + ref.icache_long_count
+            == np.count_nonzero(annotations.fetch_stall))
+    assert_equivalent(fast, ref)
+    counts = sims["reference"].last_telemetry.counts
+    assert sims["fast"].last_telemetry.counts == counts
+    assert sum(counts) == ref.cycles
+    for span in (streaming._TABLE_SPAN, 0):
+        for size in (1, 7, _N):
+            tele = Telemetry()
+            feed = [(i, trace[i:i + size],
+                     _annotation_slice(annotations, i, size))
+                    for i in range(0, _N, size)]
+            with mock.patch.object(streaming, "_TABLE_SPAN", span):
+                streamed = streaming.run_fast_stream(
+                    feed, _N, machine, name=case, telemetry=tele)
+            assert_equivalent(streamed, ref)
+            assert tele.counts == counts

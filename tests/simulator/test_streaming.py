@@ -192,10 +192,8 @@ def test_execute_spec_streaming_matches_and_shares_result_key():
     assert got.misprediction_count == ref.misprediction_count
 
 
-def test_stream_requires_fast_engine():
+def test_stream_rejects_bad_chunk_size():
     from repro.spec.specs import EngineSpec, SpecError
 
-    with pytest.raises(SpecError):
-        EngineSpec(engine="reference", stream=True)
     with pytest.raises(SpecError):
         EngineSpec(stream=True, chunk_size=0)

@@ -43,44 +43,29 @@ class TestCachedTraceSpecOnly:
             cached_trace(WorkloadSpec("gzip"), 600)
 
 
-class TestEngineEnvSelection:
-    def test_env_selection_is_silent(self, monkeypatch):
-        import warnings
+class TestEngineChoiceRemoved:
+    def test_removed_engine_spellings_fail_loudly(self, monkeypatch,
+                                                  capsys):
+        from repro.cli import build_parser
+        from repro.service import evaluations
+        from repro.service.protocol import ProtocolError
+        from repro.spec import SpecError, resolve_spec
 
-        from repro.fastpath import default_engine
-
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_engine() == "reference"
-
-    def test_unset_env_is_silent(self, monkeypatch):
-        import warnings
-
-        from repro.fastpath import default_engine
-
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_engine() == "fast"
-
-    def test_invalid_env_value_still_raises(self, monkeypatch):
-        from repro.fastpath import default_engine
-
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["simulate", "gzip", "--engine", "reference"])
+        assert "--engine" in capsys.readouterr().err
+        with pytest.raises(ProtocolError, match="engine"):
+            evaluations.flat_params_to_spec(
+                "simulate", {"benchmark": "gzip", "engine": "reference"})
+        with pytest.raises(SpecError, match="engine"):
+            resolve_spec(overrides={"workload": {"benchmark": "gzip"},
+                                    "engine": {"engine": "reference"}})
+        # the old variable is just an unregistered name now: ignored
         monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        with pytest.raises(ValueError):
-            default_engine()
-
-    def test_engine_spec_selection_is_silent(self, monkeypatch):
-        import warnings
-
-        from repro.fastpath import resolve_engine
-        from repro.spec import EngineSpec
-
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_engine(EngineSpec(engine="fast")) == "fast"
+        spec = resolve_spec(overrides={"workload": {"benchmark": "gzip"}})
+        assert spec == resolve_spec(
+            overrides={"workload": {"benchmark": "gzip"}}, use_env=False)
 
 
 class TestServiceSpecOnlyParams:

@@ -65,15 +65,14 @@ def test_engines_share_the_spec_and_the_result():
     from repro.spec import EngineSpec
 
     spec = RunSpec(workload=WorkloadSpec("vpr", length=LENGTH))
-    fast = execute_spec(spec)
-    reference = execute_spec(dataclasses.replace(
-        spec, engine=EngineSpec(engine="reference")))
-    assert fast.cycles == reference.cycles
-    assert fast.cpi == reference.cpi
-    # the engines agree, which is why EngineSpec is excluded from the key
-    assert (spec.content_key()
-            == dataclasses.replace(
-                spec, engine=EngineSpec(engine="reference")).content_key())
+    streamed_spec = dataclasses.replace(
+        spec, engine=EngineSpec(stream=True, chunk_size=333))
+    in_memory = execute_spec(spec)
+    streamed = execute_spec(streamed_spec)
+    assert in_memory.cycles == streamed.cycles
+    assert in_memory.cpi == streamed.cpi
+    # the paths agree, which is why the streaming knobs stay out of the key
+    assert spec.content_key() == streamed_spec.content_key()
 
 
 def test_service_spec_variants_coalesce_to_one_key():

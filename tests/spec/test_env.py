@@ -48,12 +48,6 @@ class TestLint:
 
 
 class TestAccessors:
-    def test_sim_engine_normalizes_case(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "  Reference ")
-        assert env.sim_engine() == "reference"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert env.sim_engine() is None
-
     def test_cache_dir_precedence(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
         assert env.cache_dir() == tmp_path / "a"

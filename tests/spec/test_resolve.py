@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.spec import SpecError, load_spec_file, resolve_spec
+from repro.spec import EngineSpec, SpecError, load_spec_file, resolve_spec
 
 
 def _write_spec(tmp_path, doc, name="spec.json"):
@@ -24,7 +24,7 @@ class TestLayers:
         spec = resolve_spec(overrides={"workload": {"benchmark": "gzip"}})
         assert spec.workload.benchmark == "gzip"
         assert spec.workload.length == 30_000  # package default
-        assert spec.engine.engine == "fast"
+        assert spec.engine == EngineSpec()  # package default
 
     def test_file_layer(self, tmp_path):
         path = _write_spec(tmp_path, {
@@ -53,23 +53,23 @@ class TestLayers:
     def test_env_beats_file(self, tmp_path, monkeypatch):
         path = _write_spec(tmp_path, {
             "workload": {"benchmark": "gzip"},
-            "engine": {"engine": "fast"},
+            "telemetry": {"interval": 500},
         })
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_spec(path=path).engine.engine == "reference"
+        monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "250")
+        assert resolve_spec(path=path).telemetry.interval == 250
 
     def test_overrides_beat_env_and_file(self, tmp_path, monkeypatch):
         path = _write_spec(tmp_path, {
             "workload": {"benchmark": "gzip", "length": 5_000},
         })
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "250")
         spec = resolve_spec(path=path, overrides={
             "workload": {"length": 9_000},
-            "engine": {"engine": "fast"},
+            "telemetry": {"interval": 750},
         })
         assert spec.workload.length == 9_000
         assert spec.workload.benchmark == "gzip"  # file layer survives
-        assert spec.engine.engine == "fast"
+        assert spec.telemetry.interval == 750
 
     def test_env_telemetry_layer(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -79,10 +79,10 @@ class TestLayers:
         assert spec.telemetry.interval == 250
 
     def test_use_env_false_ignores_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
         spec = resolve_spec(overrides={"workload": {"benchmark": "gzip"}},
                             use_env=False)
-        assert spec.engine.engine == "fast"
+        assert not spec.telemetry.enabled
 
 
 class TestSpecFile:

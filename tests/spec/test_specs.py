@@ -48,8 +48,9 @@ def _random_spec(rng: random.Random) -> RunSpec:
         ),
         machine=machine,
         engine=EngineSpec(
-            engine=rng.choice(("fast", "reference")),
             instrument=rng.random() < 0.5,
+            stream=rng.random() < 0.5,
+            chunk_size=rng.choice((None, 7, 4096)),
         ),
         telemetry=TelemetrySpec(
             enabled=rng.random() < 0.5,
@@ -96,11 +97,11 @@ class TestGoldenKey:
         assert implicit.content_key() == explicit.content_key()
 
     def test_engine_and_telemetry_do_not_move_the_key(self):
-        # both engines are bit-identical and telemetry only observes, so
-        # neither may fragment the result cache
+        # streaming is bit-identical at any chunk size and telemetry only
+        # observes, so neither may fragment the result cache
         base = RunSpec(workload=WorkloadSpec("gzip"))
         ref = dataclasses.replace(base, engine=EngineSpec(
-            engine="reference"))
+            stream=True, chunk_size=4096))
         tele = dataclasses.replace(base, telemetry=TelemetrySpec(
             enabled=True, interval=250))
         assert ref.content_key() == base.content_key()
@@ -167,8 +168,11 @@ class TestValidation:
             MachineSpec(predictor="oracle")
 
     def test_unknown_engine(self):
-        with pytest.raises(SpecError):
-            EngineSpec(engine="warp")
+        # the kernel is a constructor argument of the simulators (the
+        # reference loops are test oracles), never part of a run's spec
+        with pytest.raises(SpecError, match="engine field"):
+            RunSpec.from_dict({"workload": {"benchmark": "gzip"},
+                               "engine": {"engine": "warp"}})
 
     def test_unknown_section_rejected(self):
         with pytest.raises(SpecError):
@@ -179,6 +183,12 @@ class TestValidation:
         with pytest.raises(SpecError):
             RunSpec.from_dict({"workload": {"benchmark": "gzip",
                                             "color": "red"}})
+        # removed engine knobs fail loudly instead of being ignored
+        for field, value in (("engine", "reference"), ("jobs", 2),
+                             ("reuse_results", True)):
+            with pytest.raises(SpecError, match=field):
+                RunSpec.from_dict({"workload": {"benchmark": "gzip"},
+                                   "engine": {field: value}})
 
     def test_workload_required(self):
         with pytest.raises(SpecError):

@@ -17,7 +17,6 @@ class TestBuild:
         doc = build_manifest(command="report")
         assert doc["schema"] == MANIFEST_SCHEMA
         assert doc["command"] == "report"
-        assert doc["engine"] in ("fast", "reference")
         assert "python" in doc["machine"]
         assert "created" in doc and "created_unix" in doc
 

@@ -76,6 +76,14 @@ class TestDocumentsExist:
                 continue
             assert (path.parent / target.split("#")[0]).exists(), target
 
+    def test_environment_table_matches_the_registry(self):
+        from repro.spec import env
+
+        text = (REPO / "docs" / "CONFIGURATION.md").read_text()
+        table = text.split("## Environment variables", 1)[1].split("\n## ")[0]
+        documented = re.findall(r"^\| `(REPRO_\w+)`", table, re.MULTILINE)
+        assert sorted(documented) == sorted(env.REGISTRY)
+
     def test_at_least_three_examples(self):
         examples = list((REPO / "examples").glob("*.py"))
         assert len(examples) >= 3
