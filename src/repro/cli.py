@@ -372,13 +372,13 @@ def cmd_corun(args: argparse.Namespace) -> int:
 
 
 def cmd_iw(args: argparse.Namespace) -> int:
+    from repro.core.steady_state import unit_iw_curve
     from repro.spec.specs import WorkloadSpec
-    from repro.window.iw_simulator import measure_iw_curve
     from repro.window.powerlaw import fit_curve
 
     length = args.length if args.length is not None else 30_000
     trace = _workload_trace(WorkloadSpec(args.benchmark, length))
-    curve = measure_iw_curve(trace)
+    curve = unit_iw_curve(trace)
     fit = fit_curve(curve)
     print(f"{args.benchmark}: I = {fit.alpha:.2f} * W^{fit.beta:.2f} "
           f"(R^2 {fit.r_squared:.3f})")

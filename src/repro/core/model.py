@@ -167,9 +167,16 @@ class FirstOrderModel:
             overlap_factor=overlap,
         )
 
+    def profile(self, trace: Trace) -> MissEventProfile:
+        """The functional pass's miss-event profile of ``trace`` on this
+        machine, memoized on the trace per :class:`CollectorConfig`: a
+        machine sweep shares one pass per hierarchy and predictor."""
+        config = CollectorConfig.of(self.config)
+        return trace.memo(("profile", config),
+                          lambda: MissEventCollector(config).collect(trace))
+
     def evaluate_trace(self, trace: Trace) -> ModelReport:
         """End-to-end: functional collection, IW fit, then Eq. 1."""
-        profile = MissEventCollector(
-            CollectorConfig.of(self.config)).collect(trace)
+        profile = self.profile(trace)
         characteristic = build_characteristic(trace, self.config, profile)
         return self.evaluate(profile, characteristic)

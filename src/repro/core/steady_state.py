@@ -5,7 +5,9 @@ unit-latency IW curve by idealized trace simulation, fit the power law,
 apply the Little's-law correction with the workload's effective mean
 latency (short data-cache misses folded in), and clamp at the issue
 width.  The steady-state CPI is then the reciprocal of the issue rate at
-the machine's window size.
+the machine's window size.  The unit-latency curve depends on the trace
+alone, so it is measured once per trace (:func:`unit_iw_curve`) and
+shared by every machine evaluated on it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,21 @@ from repro.config import MachineSpec
 from repro.frontend.events import MissEventProfile
 from repro.trace.trace import Trace
 from repro.window.characteristic import IWCharacteristic
-from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, measure_iw_curve
+from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, IWCurve
+from repro.window.iw_simulator import measure_iw_curve
 from repro.window.powerlaw import fit_curve
+
+
+def unit_iw_curve(
+    trace: Trace, window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
+) -> IWCurve:
+    """The unit-latency IW curve of ``trace``, memoized on the trace.
+
+    A miss calls this module's ``measure_iw_curve``, so a wrapper
+    installed on that name counts every real measurement."""
+    window_sizes = tuple(window_sizes)
+    return trace.memo(("iw_curve", window_sizes),
+                      lambda: measure_iw_curve(trace, window_sizes))
 
 
 def build_characteristic(
@@ -30,8 +45,7 @@ def build_characteristic(
     latency; without it the static mix latency is used (no short-miss
     correction).
     """
-    curve = measure_iw_curve(trace, window_sizes)
-    fit = fit_curve(curve)
+    fit = fit_curve(unit_iw_curve(trace, window_sizes))
     if profile is not None:
         latency = profile.effective_mean_latency(
             config.latency_table, config.hierarchy.l2_latency

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.steady_state import unit_iw_curve
 from repro.experiments.common import (
     BENCHMARK_ORDER,
     DEFAULT_TRACE_LENGTH,
@@ -18,7 +19,7 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, IWCurve, measure_iw_curve
+from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, IWCurve
 from repro.window.powerlaw import PowerLawFit, fit_curve
 
 
@@ -85,7 +86,7 @@ def run(
     rows = []
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        curve = measure_iw_curve(trace, window_sizes)
+        curve = unit_iw_curve(trace, window_sizes)
         rows.append(
             IWCurveRow(benchmark=name, curve=curve, fit=fit_curve(curve))
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.steady_state import unit_iw_curve
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     Claim,
@@ -19,7 +20,7 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, measure_iw_curve
+from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES
 from repro.window.powerlaw import PowerLawFit, fit_curve
 
 #: the benchmarks of paper Figure 5
@@ -87,7 +88,7 @@ def run(
     fits: dict[str, PowerLawFit] = {}
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        curve = measure_iw_curve(trace, window_sizes)
+        curve = unit_iw_curve(trace, window_sizes)
         fit = fit_curve(curve)
         fits[name] = fit
         for point in curve.points:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.config import MachineSpec
 from repro.core.dcache_penalty import DCachePenaltyModel
+from repro.core.model import FirstOrderModel
 from repro.experiments.common import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -28,7 +29,6 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.frontend.collector import CollectorConfig, MissEventCollector
 from repro.simulator.processor import DetailedSimulator
 
 #: benchmarks with fewer long misses than this are skipped (per-miss
@@ -115,7 +115,7 @@ def run(
     rows = []
     skipped = []
     dcache_cfg = config.only_real_dcache()
-    collector = MissEventCollector(CollectorConfig.of(dcache_cfg))
+    first_order = FirstOrderModel(dcache_cfg)
     model = DCachePenaltyModel(
         miss_delay=config.hierarchy.memory_latency, rob_size=config.rob_size
     )
@@ -144,7 +144,7 @@ def run(
             mispredicted=annotations.mispredicted,
         )
         baseline = sim.run(trace, demoted)
-        profile = collector.collect(trace)
+        profile = first_order.profile(trace)
         rows.append(
             DCachePenaltyRow(
                 benchmark=name,

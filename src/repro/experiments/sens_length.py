@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
+from repro.core.steady_state import unit_iw_curve
 from repro.experiments.common import (
     BASELINE,
     Claim,
     WorkloadSpec,
     format_table,
 )
-from repro.frontend.collector import CollectorConfig, MissEventCollector
 from repro.simulator.processor import DetailedSimulator
 from repro.trace.synthetic import generate_trace
-from repro.window.iw_simulator import measure_iw_curve
 from repro.window.powerlaw import fit_curve
 
 BENCHMARKS = ("gzip", "vpr")
@@ -98,16 +97,15 @@ def run(
     config: MachineSpec = BASELINE,
     workload: WorkloadSpec | None = None,
 ) -> LengthSweepResult:
-    collector = MissEventCollector(CollectorConfig.of(config))
     model = FirstOrderModel(config)
     rows = []
     seed = workload.seed if workload is not None else None
     for name in benchmarks:
         for length in lengths:
             trace = generate_trace(name, length, seed=seed)
-            profile = collector.collect(trace)
-            fit = fit_curve(measure_iw_curve(trace))
             report = model.evaluate_trace(trace)
+            profile = model.profile(trace)
+            fit = fit_curve(unit_iw_curve(trace))
             sim = DetailedSimulator(config.all_real(),
                                     instrument=False).run(trace)
             rows.append(

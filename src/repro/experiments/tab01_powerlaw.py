@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import MachineSpec
+from repro.core.model import FirstOrderModel
+from repro.core.steady_state import unit_iw_curve
 from repro.experiments.common import (
     BASELINE,
     DEFAULT_TRACE_LENGTH,
@@ -24,8 +26,6 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.frontend.collector import CollectorConfig, MissEventCollector
-from repro.window.iw_simulator import measure_iw_curve
 from repro.window.powerlaw import fit_curve
 
 #: the benchmarks of paper Table 1, with the paper's fitted values
@@ -110,11 +110,11 @@ def run(
     workload: WorkloadSpec | None = None,
 ) -> PowerLawResult:
     rows = []
-    collector = MissEventCollector(CollectorConfig.of(config))
+    model = FirstOrderModel(config)
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        fit = fit_curve(measure_iw_curve(trace))
-        profile = collector.collect(trace)
+        fit = fit_curve(unit_iw_curve(trace))
+        profile = model.profile(trace)
         latency = profile.effective_mean_latency(
             config.latency_table, config.hierarchy.l2_latency
         )

@@ -26,23 +26,17 @@ class Surrogate:
     wall-clock so the search report can quote the surrogate-vs-detailed
     cost ratio.
 
-    The expensive inputs of :meth:`FirstOrderModel.evaluate_trace` — the
-    functional miss-event profile and the unit-latency IW power-law fit
-    — do not depend on the window/width/depth axes a search typically
-    sweeps, so they are memoized per workload (and, for the profile,
-    per cache-hierarchy/predictor configuration).  Every candidate then
-    pays only the closed-form Eq. 1 arithmetic, which is what makes the
-    surrogate orders of magnitude cheaper than a detailed simulation.
-    The memoized path calls the same functions with the same inputs as
-    ``evaluate_trace``, so scores are bit-identical to the unmemoized
-    model.
+    Each score is ``FirstOrderModel(machine).evaluate_trace(trace)`` on
+    the shared cached trace.  The expensive inputs — the functional
+    miss-event profile and the unit-latency IW curve — are memoized on
+    that trace (:meth:`repro.trace.trace.Trace.memo`), so every further
+    candidate on a workload pays only the closed-form Eq. 1 arithmetic,
+    for as long as the trace cache keeps the trace.
     """
 
     def __init__(self) -> None:
         self.evaluations = 0
         self.seconds = 0.0
-        self._profiles: dict = {}
-        self._fits: dict = {}
 
     def ipc(self, spec: RunSpec, length: int | None = None) -> float:
         """Model-predicted IPC for ``spec``'s machine on its workload.
@@ -54,47 +48,17 @@ class Surrogate:
         """
         from repro.core.model import FirstOrderModel
         from repro.experiments.common import cached_trace
-        from repro.frontend.collector import (
-            CollectorConfig,
-            MissEventCollector,
-        )
-        from repro.window.characteristic import IWCharacteristic
-        from repro.window.iw_simulator import measure_iw_curve
-        from repro.window.powerlaw import fit_curve
 
         workload = spec.workload
         if length is not None:
             workload = dataclasses.replace(workload, length=length)
         start = time.perf_counter()
-        trace = cached_trace(workload)
-        machine = spec.machine
-        wkey = (workload.benchmark, workload.length,
-                workload.resolved_seed())
-
-        pkey = wkey + (machine.hierarchy, machine.predictor,
-                       machine.ideal_predictor)
-        profile = self._profiles.get(pkey)
-        if profile is None:
-            profile = MissEventCollector(
-                CollectorConfig.of(machine)).collect(trace)
-            self._profiles[pkey] = profile
-
-        fit = self._fits.get(wkey)
-        if fit is None:
-            fit = fit_curve(measure_iw_curve(trace))
-            self._fits[wkey] = fit
-
-        # identical to FirstOrderModel.evaluate_trace, with the profile
-        # and fit supplied from the memo instead of recomputed
-        latency = profile.effective_mean_latency(
-            machine.latency_table, machine.hierarchy.l2_latency)
-        characteristic = IWCharacteristic.from_fit(
-            fit, latency=latency, issue_width=machine.width)
-        report = FirstOrderModel(machine).evaluate(profile, characteristic)
+        ipc = FirstOrderModel(spec.machine).evaluate_trace(
+            cached_trace(workload)).ipc
         self.seconds += time.perf_counter() - start
         self.evaluations += 1
         metrics_registry().counter("explore.surrogate_evals").inc()
-        return report.ipc
+        return ipc
 
     @property
     def mean_seconds(self) -> float:

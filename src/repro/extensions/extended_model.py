@@ -27,7 +27,6 @@ from repro.extensions.limited_fu import (
     saturation_with_limited_units,
 )
 from repro.extensions.tlb import TLBConfig, collect_tlb_misses, tlb_cpi
-from repro.frontend.collector import CollectorConfig, MissEventCollector
 from repro.frontend.events import MissEventProfile
 from repro.trace.trace import Trace
 from repro.window.characteristic import IWCharacteristic
@@ -79,8 +78,7 @@ class ExtendedFirstOrderModel:
     fu_pool: FunctionalUnitPool | None = None
 
     def evaluate_trace(self, trace: Trace) -> ExtendedReport:
-        profile = MissEventCollector(
-            CollectorConfig.of(self.config)).collect(trace)
+        profile = FirstOrderModel(self.config).profile(trace)
         characteristic = build_characteristic(trace, self.config, profile)
         return self.evaluate(trace, profile, characteristic)
 

@@ -51,12 +51,14 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollectorConfig:
     """The functional pass's view of a machine.
 
     :meth:`of` derives it from a :class:`~repro.config.MachineSpec`; the
     fields stay open so tests can inject predictors outside the registry.
+    Frozen and hashable, so it keys the per-trace profile memo
+    (:meth:`repro.core.model.FirstOrderModel.profile`).
 
     Attributes:
         hierarchy: cache-hierarchy configuration (geometry + ideal flags).

@@ -220,12 +220,12 @@ def statistical_simulate(
     collect statistics, sample a synthetic trace, run the cycle-level
     simulator over it.  Returns the :class:`~repro.simulator.SimResult`
     of the synthetic run."""
-    from repro.frontend.collector import CollectorConfig, MissEventCollector
+    from repro.core.model import FirstOrderModel
     from repro.simulator.processor import DetailedSimulator
     from repro.statsim.statistics import ProgramStatistics
 
     cfg = config or BASELINE
-    profile = MissEventCollector(CollectorConfig.of(cfg)).collect(trace)
+    profile = FirstOrderModel(cfg).profile(trace)
     stats = ProgramStatistics.collect(trace, profile)
     synthetic = StatisticalTraceGenerator(stats, cfg).generate(length, seed)
     sim = DetailedSimulator(cfg, instrument=False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class Trace:
             arr.setflags(write=False)
             setattr(self, col, arr)
         self.name = name
-        self._deps: Dependences | None = None
+        #: derived products, computed once per trace object (:meth:`memo`)
+        self._memo: dict[Hashable, Any] = {}
 
     # -- construction --------------------------------------------------
 
@@ -146,6 +147,14 @@ class Trace:
     def __repr__(self) -> str:
         return f"Trace(name={self.name!r}, n={len(self)})"
 
+    # -- pickling: the memo never travels --------------------------------
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo={})
+
     # -- masks ----------------------------------------------------------
 
     def mask(self, *classes: OpClass) -> np.ndarray:
@@ -169,8 +178,21 @@ class Trace:
 
     # -- derived products -------------------------------------------------
 
+    def memo(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The derived product named ``key``, computing it on first use.
+
+        The memo lives as long as this trace object: slices start empty
+        and pickles leave it behind.  ``key`` must name everything the
+        product depends on besides the trace itself.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
     def dependences(self) -> Dependences:
-        """Run the register-renaming pass (cached).
+        """Run the register-renaming pass (memoized).
 
         Each source register name maps to the trace index of its most
         recent producer, as an in-order sweep would find it (see
@@ -178,9 +200,8 @@ class Trace:
         dependences here; the paper's model (and its detailed reference
         simulator) track register dependences only.
         """
-        if self._deps is None:
-            self._deps = StreamingRenamer().rename_chunk(self)
-        return self._deps
+        return self.memo("dependences",
+                         lambda: StreamingRenamer().rename_chunk(self))
 
     def latencies(self, table: LatencyTable) -> np.ndarray:
         """Per-instruction static latency column under ``table``."""

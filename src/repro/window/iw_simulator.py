@@ -66,34 +66,26 @@ def simulate_unbounded_issue(
     dep1 = deps.dep1.tolist()
     dep2 = deps.dep2.tolist()
 
-    issue_time = [0] * n
-    # min-heap of the `window_size` largest issue times seen so far
-    heap: list[int] = []
-    last_cycle = 0
+    # done[k]: cycle at which k's result is available; the extra last
+    # slot stays 0, so an absent producer (index -1) reads "ready at 0"
+    done = [0] * (n + 1)
+    # min-heap of the `window_size` largest issue times, pre-filled with
+    # -1: while a sentinel is on top the window has room (dispatch at 0);
+    # issue is never before dispatch, one past the top, so t replaces it
+    heap = [-1] * min(window_size, n)
+    replace = heapq.heapreplace
     for k in range(n):
-        if len(heap) < window_size:
-            dispatch = 0
-        else:
-            dispatch = heap[0] + 1
-        ready = 0
-        d = dep1[k]
-        if d >= 0:
-            ready = issue_time[d] + lat[d]
-        d = dep2[k]
-        if d >= 0:
-            t = issue_time[d] + lat[d]
-            if t > ready:
-                ready = t
-        t = dispatch if dispatch > ready else ready
-        issue_time[k] = t
-        if t > last_cycle:
-            last_cycle = t
-        if len(heap) < window_size:
-            heapq.heappush(heap, t)
-        elif t > heap[0]:
-            heapq.heapreplace(heap, t)
+        t = heap[0] + 1
+        ready = done[dep1[k]]
+        if ready > t:
+            t = ready
+        ready = done[dep2[k]]
+        if ready > t:
+            t = ready
+        done[k] = t + lat[k]
+        replace(heap, t)
 
-    cycles = last_cycle + 1
+    cycles = max(heap) + 1
     return IWPoint(
         window_size=window_size, ipc=n / cycles, cycles=cycles, instructions=n
     )

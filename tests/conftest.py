@@ -96,3 +96,25 @@ def tiny_config() -> MachineSpec:
     return MachineSpec(
         pipeline_depth=3, width=2, window_size=8, rob_size=16
     )
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts real IW-curve measurements and functional passes, through
+    the names a tracing harness wraps."""
+    from repro.core import steady_state
+    from repro.frontend.collector import MissEventCollector
+
+    calls = {"iw": 0, "collect": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(steady_state, "measure_iw_curve", counting(
+        "iw", steady_state.measure_iw_curve))
+    monkeypatch.setattr(MissEventCollector, "collect", counting(
+        "collect", MissEventCollector.collect))
+    return calls

@@ -1,8 +1,10 @@
 """Tests for the full first-order model (Eq. 1) and the CPI stack."""
 
+import pickle
+
 import pytest
 
-from repro.config import BASELINE
+from repro.config import BASELINE, CacheSpec, HierarchySpec, MachineSpec
 from repro.core.branch_penalty import BurstPolicy
 from repro.core.model import FirstOrderModel
 from repro.core.stack import CPIStack, STACK_ORDER, render_stacks
@@ -126,6 +128,75 @@ class TestConfigSensitivity:
         cfg = dataclasses.replace(BASELINE, ideal_predictor=True)
         report = FirstOrderModel(cfg).evaluate_trace(gzip_trace)
         assert report.cpi_branch == 0.0
+
+
+#: the benchmark's model sweep: three machines change only the core, two
+#: the memory side
+SWEEP_MACHINES = (
+    BASELINE,
+    MachineSpec(pipeline_depth=10),
+    MachineSpec(width=2),
+    MachineSpec(window_size=96),
+    MachineSpec(hierarchy=HierarchySpec(l2=CacheSpec(256 * 1024))),
+    MachineSpec(predictor="bimodal"),
+)
+
+#: machines whose memo keys must all be told apart
+KEYED_MACHINES = SWEEP_MACHINES + (
+    BASELINE.all_ideal(),
+    BASELINE.all_real(),
+    BASELINE.only_real_predictor(),
+    BASELINE.only_real_icache(),
+    BASELINE.only_real_dcache(),
+    BASELINE.with_width(8),
+)
+
+
+class TestPerTraceMemo:
+    def test_machine_sweep_measures_each_trace_once(self, gzip_trace,
+                                                    counted):
+        trace = gzip_trace[:]  # a copy with an empty memo
+        for machine in SWEEP_MACHINES:
+            FirstOrderModel(machine).evaluate_trace(trace)
+        # one unit-latency curve; one pass each for the shared baseline
+        # view, the 256 KiB L2 and bimodal
+        assert counted == {"iw": 1, "collect": 3}
+        for machine in SWEEP_MACHINES:
+            FirstOrderModel(machine).evaluate_trace(trace)
+        assert counted == {"iw": 1, "collect": 3}
+
+    def test_memoized_reports_equal_fresh_ones(self, gzip_trace):
+        shared = gzip_trace[:]
+        for machine in KEYED_MACHINES:
+            memoized = FirstOrderModel(machine).evaluate_trace(shared)
+            fresh = FirstOrderModel(machine).evaluate_trace(gzip_trace[:])
+            assert memoized == fresh
+
+    def test_window_sizes_key_the_curve(self, gzip_trace):
+        shared = gzip_trace[:]
+        build_characteristic(shared, BASELINE)
+        narrow = build_characteristic(shared, BASELINE,
+                                      window_sizes=(2, 4, 8))
+        assert narrow == build_characteristic(gzip_trace[:], BASELINE,
+                                              window_sizes=(2, 4, 8))
+        assert narrow != build_characteristic(shared, BASELINE)
+
+    def test_profile_is_the_unannotated_pass(self, gzip_trace):
+        trace = gzip_trace[:]
+        profile = FirstOrderModel().profile(trace)
+        assert FirstOrderModel().profile(trace) is profile
+        assert profile.annotations is None
+        assert pickle.dumps(profile) == pickle.dumps(
+            collect_events(gzip_trace[:]))
+
+    def test_slices_start_with_an_empty_memo(self, gzip_trace, counted):
+        trace = gzip_trace[:]
+        FirstOrderModel().evaluate_trace(trace)
+        part = trace[500:2_500]
+        assert part._memo == {}
+        assert FirstOrderModel().evaluate_trace(part) == (
+            FirstOrderModel().evaluate_trace(gzip_trace[500:2_500]))
+        assert counted == {"iw": 3, "collect": 3}
 
 
 class TestCPIStack:

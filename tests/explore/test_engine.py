@@ -47,18 +47,23 @@ class TestSurrogate:
             expected = FirstOrderModel(machine).evaluate_trace(gzip_trace).ipc
             assert surrogate.ipc(candidate) == expected
 
-    def test_memoizes_profile_and_fit_per_workload(self):
-        surrogate = Surrogate()
-        spec = RunSpec(workload=WorkloadSpec("gzip", length=2_000))
+    def test_memoizes_profile_and_fit_per_workload(self, counted):
+        """A window sweep over one workload measures its IW curve and
+        runs its functional pass once: both are memoized on the trace."""
         import dataclasses
 
+        from repro.experiments.common import _cached_trace_resolved
+
+        _cached_trace_resolved.cache_clear()  # a trace with an empty memo
+
+        surrogate = Surrogate()
+        spec = RunSpec(workload=WorkloadSpec("gzip", length=2_000))
         for window in (16, 32, 48):
             surrogate.ipc(dataclasses.replace(
                 spec, machine=dataclasses.replace(
                     spec.machine, window_size=window)))
         assert surrogate.evaluations == 3
-        assert len(surrogate._profiles) == 1
-        assert len(surrogate._fits) == 1
+        assert counted == {"iw": 1, "collect": 1}
         assert surrogate.seconds > 0
         assert surrogate.mean_seconds == surrogate.seconds / 3
 

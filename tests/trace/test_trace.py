@@ -1,5 +1,7 @@
 """Tests for the columnar Trace container and the renaming pass."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,32 @@ class TestSerialisation:
         assert (loaded.opclass == gzip_trace.opclass).all()
         assert (loaded.addr == gzip_trace.addr).all()
         assert (loaded.taken == gzip_trace.taken).all()
+
+    def test_pickle_leaves_the_memo_behind(self):
+        """A pickled trace is its columns and name only: evaluating a
+        model on it, or memoizing a product keyed by an unpicklable
+        predictor factory, changes no pickled byte."""
+        from repro.branch.simple import Bimodal
+        from repro.core.model import FirstOrderModel
+        from repro.frontend.collector import (
+            CollectorConfig,
+            MissEventCollector,
+        )
+        from repro.trace.synthetic import generate_trace
+
+        trace = generate_trace("gzip", 1_000)
+        before = pickle.dumps(trace)
+        FirstOrderModel().evaluate_trace(trace)
+        assert pickle.dumps(trace) == before
+
+        config = CollectorConfig(
+            predictor_factory=lambda: Bimodal(entries=512))
+        trace.memo(("profile", config),
+                   lambda: MissEventCollector(config).collect(trace))
+        assert pickle.dumps(trace) == before
+
+        loaded = pickle.loads(before)
+        assert loaded._memo == {}
+        assert (loaded.pc == trace.pc).all()
+        assert loaded.dependences().dep1.tolist() == (
+            trace.dependences().dep1.tolist())

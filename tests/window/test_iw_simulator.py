@@ -1,10 +1,12 @@
 """Tests for the idealized IW simulators (paper §3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.instruction import NO_REG, Instruction
 from repro.isa.latency import LatencyTable
-from repro.isa.opclass import OpClass
+from repro.isa.opclass import OpClass, writes_register
 from repro.trace.trace import Trace
 from repro.window.iw_simulator import (
     LimitedWidthIWSimulator,
@@ -69,6 +71,37 @@ class TestEquivalence:
             16, issue_width=len(vpr_trace), latency_table=table
         ).run(vpr_trace)
         assert fast.cycles == slow.cycles
+
+
+@st.composite
+def short_traces(draw):
+    """Short traces over a handful of registers, every opclass allowed,
+    so dependences are dense and latencies vary under the real table."""
+    n = draw(st.integers(1, 40))
+    reg = st.one_of(st.just(NO_REG), st.integers(1, 6))
+    rows = []
+    for k in range(n):
+        op = draw(st.sampled_from(list(OpClass)))
+        dst = draw(reg) if writes_register(op) else NO_REG
+        rows.append(Instruction(pc=4 * k, opclass=op, dst=dst,
+                                src1=draw(reg), src2=draw(reg)))
+    return Trace.from_instructions(rows)
+
+
+class TestLeanKernel:
+    @given(trace=short_traces(), window=st.integers(1, 48),
+           real=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cycle_simulator(self, trace, window, real):
+        """The pre-filled-heap kernel equals the per-cycle simulator at
+        unbounded width, including w = 1 and w >= len(trace)."""
+        table = LatencyTable() if real else LatencyTable.unit()
+        for w in {1, window, len(trace), len(trace) + window}:
+            fast = simulate_unbounded_issue(trace, w, table)
+            slow = LimitedWidthIWSimulator(
+                w, issue_width=len(trace), latency_table=table
+            ).run(trace)
+            assert fast.cycles == slow.cycles
 
 
 class TestMonotonicity:
