@@ -53,6 +53,18 @@ from repro.window import IWCharacteristic, measure_iw_curve, fit_curve
 
 __version__ = "1.0.0"
 
+
+def package_version() -> str:
+    """The installed distribution's version; a source checkout on
+    ``PYTHONPATH`` has none, so :data:`__version__` answers there."""
+    try:
+        from importlib.metadata import PackageNotFoundError, version
+
+        return version("repro")
+    except PackageNotFoundError:
+        return __version__
+
+
 __all__ = [
     "MachineSpec",
     "BASELINE",

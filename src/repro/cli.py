@@ -101,23 +101,6 @@ def _workload_trace(workload):
                           workload.seed)
 
 
-def package_version() -> str:
-    """The installed package version, falling back to the source tree's.
-
-    An installed distribution answers through :mod:`importlib.metadata`;
-    a source checkout on ``PYTHONPATH`` has no distribution, so the
-    package's own ``__version__`` is the authority there.
-    """
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        return version("repro")
-    except PackageNotFoundError:
-        import repro
-
-        return repro.__version__
-
-
 def _experiment_registry():
     from repro.experiments import experiment_registry
 
@@ -1100,6 +1083,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro import package_version
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="A First-Order Superscalar Processor Model "

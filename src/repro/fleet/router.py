@@ -1,10 +1,11 @@
-"""The fleet front door: consistent-hash routing with failover.
+"""The fleet router: consistent-hash routing with failover.
 
 ``repro route`` runs one of these in front of N ``repro serve`` nodes.
-It speaks the service's exact protocol — the same newline-JSON frames
-and the same HTTP mapping — so every existing client works unchanged;
-the only visible difference is extra response metadata naming the node
-that answered.
+It is the service's own front door
+(:class:`~repro.service.server.FrontDoor` — the same listener,
+newline-JSON frames and HTTP mapping) with routing behind it, so every
+existing client works unchanged; the visible differences are response
+metadata naming the node that answered and one extra route, ``/fleet``.
 
 Request lifecycle
 -----------------
@@ -38,29 +39,26 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import threading
 import time
 
+from repro import package_version
 from repro.fleet.client import AsyncServiceClient
 from repro.fleet.ring import HashRing
 from repro.obs import spans as _spans
 from repro.service import protocol
 from repro.service.protocol import ErrorCode, ProtocolError
+from repro.service.server import (
+    BackgroundDoor,
+    FrontDoor,
+    run_until_interrupted,
+)
 from repro.spec.fleet import FleetSpec
 from repro.telemetry.metrics import metrics_registry
 
 _log = logging.getLogger(__name__)
 
-_HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ")
-
 #: deadline for a cache peek — a disk probe, not a compute
 PEEK_TIMEOUT_S = 5.0
-
-
-def _package_version() -> str:
-    from repro.cli import package_version
-
-    return package_version()
 
 
 class _Node:
@@ -86,57 +84,36 @@ class _Node:
                 "last_error": self.last_error}
 
 
-class FleetRouter:
+class FleetRouter(FrontDoor):
     """Routes service requests onto a fleet of nodes by content key."""
 
     def __init__(self, spec: FleetSpec, host: str = "127.0.0.1",
                  port: int = 0):
         if not spec.nodes:
             raise ValueError("FleetSpec has no nodes to route onto")
+        super().__init__(host, port)
         self.spec = spec
-        self.host = host
-        self.port = port
         self.ring = HashRing(spec.nodes, seed=spec.hash_seed,
                              vnodes=spec.vnodes)
         self.nodes: dict[str, _Node] = {
             address: _Node(address) for address in spec.nodes}
-        self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.Task] = set()
         self._health_task: asyncio.Task | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         metrics_registry().gauge("router.nodes").set(len(self.nodes))
         self._health_task = asyncio.ensure_future(self._health_loop())
         _log.info("router listening on %s:%d over %d node(s)",
                   self.host, self.port, len(self.nodes))
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._health_task, return_exceptions=True)
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._close()
         for node in self.nodes.values():
             await node.client.close()
         _log.info("router stopped")
@@ -209,51 +186,39 @@ class FleetRouter:
                 healthy.insert(0, self.nodes[first])
         return healthy + [n for n in targets if not n.healthy]
 
-    async def _route(self, request: protocol.Request) -> dict:
-        """One routed request to its response frame — never raises."""
+    async def _answer(self, request: protocol.Request) -> dict:
+        """One routed request to its response frame."""
         metrics = metrics_registry()
         rid = request.id
-        try:
-            if request.op == "ping":
-                return protocol.make_response(rid, {
-                    "pong": True, "role": "router",
-                    "version": _package_version(),
-                    "protocol": protocol.PROTOCOL_VERSION,
-                    "nodes": len(self.nodes),
-                }, {"served_from": "router"})
-            if request.op == "metrics":
-                return protocol.make_response(
-                    rid, {"metrics": metrics.to_dict()},
-                    {"served_from": "router"})
-            if request.op == "peek":
-                return await self._route_peek(request)
+        if request.op == "ping":
+            return protocol.make_response(
+                rid, {**self._pong(), "nodes": len(self.nodes)},
+                {"served_from": "router"})
+        if request.op == "metrics":
+            return protocol.make_response(
+                rid, {"metrics": metrics.to_dict()},
+                {"served_from": "router"})
+        if request.op == "peek":
+            return await self._route_peek(request)
 
-            from repro.service import evaluations
+        from repro.service import evaluations
 
-            normalized = evaluations.normalize_params(
-                request.op, request.params)
-            key = evaluations.request_key(request.op, normalized)
-            metrics.counter("router.routed").inc()
+        normalized = evaluations.normalize_params(request.op, request.params)
+        key = evaluations.request_key(request.op, normalized)
+        metrics.counter("router.routed").inc()
 
-            ctx = request.trace
-            if ctx is not None and _spans.enabled():
-                with _spans.attach(ctx), \
-                        _spans.span("router.route", op=request.op,
-                                    request_id=rid) as sp:
-                    frame, node = await self._dispatch(
-                        request, normalized, key,
-                        trace=_spans.current_context())
-                    sp.set(node=node)
-                    return frame
-            frame, _ = await self._dispatch(request, normalized, key,
-                                            trace=ctx)
-            return frame
-        except ProtocolError as exc:
-            return protocol.make_error(rid, exc.code, str(exc))
-        except Exception as exc:  # noqa: BLE001 - the wire must answer
-            _log.exception("unexpected error routing a request")
-            return protocol.make_error(
-                rid, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+        ctx = request.trace
+        if ctx is not None and _spans.enabled():
+            with _spans.attach(ctx), \
+                    _spans.span("router.route", op=request.op,
+                                request_id=rid) as sp:
+                frame, node = await self._dispatch(
+                    request, normalized, key,
+                    trace=_spans.current_context())
+                sp.set(node=node)
+                return frame
+        frame, _ = await self._dispatch(request, normalized, key, trace=ctx)
+        return frame
 
     async def _dispatch(self, request: protocol.Request, normalized: dict,
                         key: str | None,
@@ -390,7 +355,7 @@ class FleetRouter:
         }
         return {
             "router": {"host": self.host, "port": self.port,
-                       "version": _package_version(),
+                       "version": package_version(),
                        "protocol": protocol.PROTOCOL_VERSION},
             "spec": self.spec.to_dict(),
             "nodes": [self.nodes[a].status() for a in self.spec.nodes],
@@ -398,184 +363,34 @@ class FleetRouter:
             "counters": counters,
         }
 
-    # -- connection handling (same dual dialect as the service) ----------
+    # -- the door's hooks -----------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            if any(first.startswith(m) for m in _HTTP_METHODS):
-                await self._handle_http(first, reader, writer)
-            else:
-                await self._handle_frames(first, reader, writer)
-        except (ConnectionResetError, asyncio.IncompleteReadError,
-                ValueError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError, asyncio.CancelledError):
-                pass
+    def _health(self) -> tuple[int, str]:
+        if any(node.healthy for node in self.nodes.values()):
+            return 200, "ok\n"
+        return 503, "no healthy nodes\n"
 
-    async def _handle_frames(self, first: bytes,
-                             reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        line = first
-        while line:
-            if line.strip():
-                task = asyncio.ensure_future(
-                    self._answer_frame(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            line = await reader.readline()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+    def _about(self) -> dict:
+        return {"role": "router"}
 
-    async def _answer_frame(self, line: bytes,
-                            writer: asyncio.StreamWriter,
-                            lock: asyncio.Lock) -> None:
-        response = await self._respond(line)
-        async with lock:
-            writer.write(protocol.encode_frame(response))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                pass
+    def _metrics_labels(self) -> dict | None:
+        return {"node": "router"}
 
-    async def _respond(self, line: bytes) -> dict:
-        rid = ""
-        try:
-            frame = protocol.decode_frame(line)
-            rid = str(frame.get("id", "")) if isinstance(frame, dict) else ""
-            request = protocol.parse_request(frame)
-            return await self._route(request)
-        except ProtocolError as exc:
-            return protocol.make_error(rid, exc.code, str(exc))
-        except Exception as exc:  # noqa: BLE001
-            _log.exception("unexpected error answering a routed request")
-            return protocol.make_error(
-                rid, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
-
-    async def _handle_http(self, request_line: bytes,
-                           reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            method, target, _ = request_line.decode().split(None, 2)
-        except ValueError:
-            await self._http_reply(writer, 400, "bad request line\n")
-            return
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    pass
-        body = b""
-        if content_length:
-            if content_length > protocol.MAX_FRAME_BYTES:
-                await self._http_reply(writer, 413, "body too large\n")
-                return
-            body = await reader.readexactly(content_length)
-
-        path = target.split("?", 1)[0]
-        if method in ("GET", "HEAD") and path == "/healthz":
-            if any(node.healthy for node in self.nodes.values()):
-                await self._http_reply(writer, 200, "ok\n")
-            else:
-                await self._http_reply(writer, 503, "no healthy nodes\n")
-        elif method in ("GET", "HEAD") and path == "/metrics":
-            await self._http_reply(
-                writer, 200,
-                metrics_registry().to_prometheus(labels={"node": "router"}),
-                content_type="text/plain; version=0.0.4")
-        elif method in ("GET", "HEAD") and path == "/version":
-            doc = {"version": _package_version(),
-                   "protocol": protocol.PROTOCOL_VERSION,
-                   "host": self.host, "port": self.port, "role": "router"}
-            await self._http_reply(writer, 200, json.dumps(doc) + "\n",
-                                   content_type="application/json")
-        elif method in ("GET", "HEAD") and path == "/fleet":
-            await self._http_reply(
-                writer, 200,
-                json.dumps(self.fleet_status(), sort_keys=True) + "\n",
-                content_type="application/json")
-        elif method == "POST" and path == "/v1/eval":
-            response = await self._respond(body)
-            status = 200
-            if not response["ok"]:
-                code = response["error"]["code"]
-                status = {ErrorCode.OVERLOADED: 503,
-                          ErrorCode.SHUTTING_DOWN: 503,
-                          ErrorCode.TIMEOUT: 504,
-                          ErrorCode.INTERNAL: 500}.get(code, 400)
-            await self._http_reply(
-                writer, status,
-                json.dumps(response, sort_keys=True) + "\n",
-                content_type="application/json")
-        else:
-            await self._http_reply(writer, 404, f"no route {path}\n")
-
-    async def _http_reply(self, writer: asyncio.StreamWriter, status: int,
-                          body: str,
-                          content_type: str = "text/plain") -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  413: "Payload Too Large", 500: "Internal Server Error",
-                  503: "Service Unavailable",
-                  504: "Gateway Timeout"}.get(status, "Unknown")
-        payload = body.encode()
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode() + payload)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            pass
-
-
-async def _route_async(spec: FleetSpec, host: str, port: int,
-                       ready=None) -> None:
-    router = FleetRouter(spec, host, port)
-    await router.start()
-    if ready is not None:
-        ready(router)
-    try:
-        await router.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await router.stop()
+    def _extra_route(self, method: str,
+                     path: str) -> tuple[int, str, str] | None:
+        if method in ("GET", "HEAD") and path == "/fleet":
+            return (200, json.dumps(self.fleet_status(), sort_keys=True)
+                    + "\n", "application/json")
+        return None
 
 
 def route(spec: FleetSpec, host: str = "127.0.0.1", port: int = 7400,
           ready=None) -> None:
     """Run a router until interrupted (the ``repro route`` entry)."""
-    try:
-        asyncio.run(_route_async(spec, host, port, ready))
-    except KeyboardInterrupt:
-        _log.info("interrupted; router stopped")
+    run_until_interrupted(lambda: FleetRouter(spec, host, port), ready)
 
 
-class BackgroundRouter:
+class BackgroundRouter(BackgroundDoor):
     """A router on a daemon thread — tests, benchmarks, embedding.
 
     ::
@@ -590,70 +405,13 @@ class BackgroundRouter:
 
     def __init__(self, spec: FleetSpec, host: str = "127.0.0.1",
                  port: int = 0):
-        self._spec = spec
-        self._host = host
-        self._port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._router: FleetRouter | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._failure: BaseException | None = None
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def port(self) -> int:
-        assert self._router is not None, "not started"
-        return self._router.port
+        super().__init__(lambda: FleetRouter(spec, host, port), host,
+                         "router")
 
     @property
     def router(self) -> FleetRouter:
-        assert self._router is not None, "not started"
-        return self._router
-
-    def __enter__(self) -> "BackgroundRouter":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._failure is not None:
-            raise RuntimeError("router failed to start") from self._failure
-        assert self._router is not None
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._loop is not None and self._loop.is_running():
-            asyncio.run_coroutine_threadsafe(
-                self._shutdown(), self._loop).result(timeout=60)
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                router = FleetRouter(self._spec, self._host, self._port)
-                await router.start()
-                self._router = router
-            except BaseException as exc:
-                self._failure = exc
-                raise
-            finally:
-                self._started.set()
-            await self._stop.wait()
-
-        try:
-            asyncio.run(main())
-        except BaseException:  # pragma: no cover - already recorded
-            pass
-
-    async def _shutdown(self) -> None:
-        if self._router is not None:
-            await self._router.stop()
-        self._stop.set()
+        assert self._door is not None, "not started"
+        return self._door
 
 
 __all__ = ["BackgroundRouter", "FleetRouter", "route"]

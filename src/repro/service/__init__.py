@@ -14,8 +14,10 @@ round-trips:
   explicit ``overloaded``), micro-batching onto a process pool,
   in-flight coalescing of identical requests, persistent-cache serving,
   per-request timeouts and worker-crash retry with backoff.
-* :mod:`repro.service.server` — the asyncio TCP/HTTP server with
-  ``/healthz``, ``/metrics`` and graceful drain.
+* :mod:`repro.service.server` — the asyncio front door (one listener
+  for newline-JSON frames and HTTP: ``/healthz``, ``/metrics``,
+  ``/version``, ``POST /v1/eval``) that the service and the fleet
+  router share, and the service itself with its graceful drain.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
   Python API behind ``repro submit``.
 

@@ -46,9 +46,13 @@ _log = logging.getLogger(__name__)
 class Overloaded(Exception):
     """The admission queue is full; the caller should shed the request."""
 
+    code = ErrorCode.OVERLOADED
+
 
 class EvalTimeout(Exception):
     """The per-request deadline expired before a worker answered."""
+
+    code = ErrorCode.TIMEOUT
 
 
 class EvalFailed(Exception):

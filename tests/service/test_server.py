@@ -244,34 +244,8 @@ class TestHTTP:
         assert response.status == 200 and doc["ok"]
         assert doc["result"]["cpi"] > 0
 
-    def test_eval_error_maps_to_http_status(self, service):
-        frame = {"op": "model", "params": {"benchmark": "nope"}}
-        response, body = _http(service, "POST", "/v1/eval",
-                               json.dumps(frame).encode())
-        assert response.status == 400
-        assert json.loads(body)["error"]["code"] == "bad_request"
-
-    def test_unknown_route_404s(self, service):
-        response, _ = _http(service, "GET", "/teapot")
-        assert response.status == 404
-
 
 class TestProtocolOverTheWire:
-    def test_malformed_frame_gets_an_error_response(self, service):
-        import socket
-
-        with socket.create_connection(
-                (service.host, service.port), timeout=30) as sock:
-            sock.sendall(b"this is not json\n")
-            file = sock.makefile("rb")
-            doc = json.loads(file.readline())
-            assert not doc["ok"]
-            assert doc["error"]["code"] == "bad_request"
-            # the connection survives a bad frame
-            sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
-            doc = json.loads(file.readline())
-            assert doc["ok"] and doc["result"]["pong"]
-
     def test_interleaved_ids_route_to_their_requests(self, service):
         with ServiceClient(service.host, service.port) as client:
             a = client.request(
