@@ -10,7 +10,6 @@ qualitative claims evaluated against the measured data.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,34 +24,23 @@ from repro.trace.trace import Trace
 DEFAULT_TRACE_LENGTH = 30_000
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_trace_resolved(benchmark: str, length: int, seed: int) -> Trace:
-    """The in-memory layer, keyed by the *resolved* seed only.
-
-    Normalizing before this cache fixes the old aliasing where
-    ``seed=None`` and the explicitly-passed default seed occupied two
-    ``lru_cache`` slots (and two disk probes) for the same trace.
-    """
-    return trace_artifact(benchmark, length, seed)
-
-
 def cached_trace(workload: WorkloadSpec) -> Trace:
-    """The trace a :class:`~repro.spec.WorkloadSpec` names, cached twice
-    over.
+    """The trace a :class:`~repro.spec.WorkloadSpec` names.
 
-    The in-memory ``lru_cache`` serves repeats within a process; beneath
-    it, :func:`repro.runner.artifacts.trace_artifact` persists the trace
-    on disk so repeated experiment invocations (and parallel runner
-    workers) skip generation entirely.  A ``seed`` of ``None`` in the
-    workload resolves to the benchmark profile's deterministic default
-    before either cache is consulted.
+    A thin typed front door to
+    :func:`repro.runner.artifacts.trace_artifact`, whose in-process layer
+    serves repeats within a process (the same ``Trace`` object, memo
+    included) and whose disk store lets repeated experiment invocations
+    and parallel runner workers skip generation entirely.  A ``seed`` of
+    ``None`` resolves to the benchmark profile's deterministic default
+    before either is consulted.
     """
     if not isinstance(workload, WorkloadSpec):
         raise TypeError(
             "cached_trace takes a repro.spec.WorkloadSpec (the positional "
             "benchmark/length/seed form was removed)"
         )
-    return _cached_trace_resolved(
+    return trace_artifact(
         workload.benchmark, workload.length, workload.resolved_seed()
     )
 

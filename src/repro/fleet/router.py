@@ -131,22 +131,29 @@ class FleetRouter(FrontDoor):
             await asyncio.sleep(self.spec.health_interval_s)
 
     async def _check_health(self, node: _Node) -> None:
-        """One ``GET /healthz`` probe; recovery re-learns the node id."""
+        """One ``GET /healthz`` probe; recovery re-learns the node id.
+
+        The probe's connection is closed however the probe ends: answered,
+        timed out, refused or cancelled by :meth:`stop`."""
+        timeout = self.spec.health_interval_s + 2.0
+        writer = None
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(node.host, node.port),
-                timeout=self.spec.health_interval_s + 2.0)
+                timeout=timeout)
             writer.write(b"GET /healthz HTTP/1.1\r\n"
                          b"Host: fleet\r\nConnection: close\r\n\r\n")
             await writer.drain()
-            status_line = await asyncio.wait_for(
-                reader.readline(), timeout=self.spec.health_interval_s + 2.0)
-            writer.close()
+            status_line = await asyncio.wait_for(reader.readline(),
+                                                 timeout=timeout)
             ok = b" 200 " in status_line
         except (OSError, asyncio.TimeoutError, ConnectionError) as exc:
             node.healthy = False
-            node.last_error = f"healthz: {exc or type(exc).__name__}"
+            node.last_error = f"healthz: {str(exc) or type(exc).__name__}"
             return
+        finally:
+            if writer is not None:
+                writer.close()
         if ok and not (node.healthy and node.node_id):
             await self._learn_identity(node)
         node.healthy = ok

@@ -39,6 +39,18 @@ Recipe seeds are *resolved* before keying (``seed=None`` hashes as the
 benchmark profile's default seed, via
 :class:`repro.spec.WorkloadSpec`), so the two spellings of the default
 share one entry.
+
+The in-process trace layer
+--------------------------
+:func:`trace_artifact` fronts the disk store with one in-process layer
+(:class:`TraceLayer`), so every caller in a process gets the *same*
+:class:`~repro.trace.trace.Trace` object for the same workload — and
+with it the same :meth:`~repro.trace.trace.Trace.memo` (dependences, IW
+curve, functional profile).  The layer never outlives the store: it
+serves an entry only while that trace's artifact still exists under the
+current cache root (or while the cache is disabled, or when the store
+could not write it), and it empties itself when the cache root changes.
+It is bounded by the instructions it holds, not by an entry count.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ import logging
 import os
 import pickle
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -319,8 +333,88 @@ def cached_artifact(kind: str, recipe: dict, compute):
 # -- the concrete artifact kinds --------------------------------------------
 
 
+class TraceLayer:
+    """The in-process trace layer: LRU over at most ``budget``
+    instructions of traces, keyed by trace artifact key.
+
+    An entry whose artifact was on disk when it was put is served only
+    while that artifact still exists under the current cache root; one
+    put while the cache was disabled, or whose store failed (a read-only
+    or full root), is served as is.  A change of cache root empties the
+    layer.  A trace longer than the budget is never held.  All methods
+    are thread-safe.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        #: key -> (trace, whether its artifact was on disk when put)
+        self._traces: OrderedDict[str, tuple] = OrderedDict()
+        self._held = 0
+        self._root: Path | None = None
+
+    def get(self, key: str):
+        """The held trace for ``key``, or ``None``."""
+        with self._lock:
+            self._follow_root()
+            entry = self._traces.get(key)
+            if entry is None:
+                return None
+            trace, backed = entry
+            if (backed and cache_enabled()
+                    and not _artifact_path("trace", key).exists()):
+                del self._traces[key]
+                self._held -= len(trace)
+                return None
+            self._traces.move_to_end(key)
+            return trace
+
+    def put(self, key: str, trace):
+        """Hold ``trace`` (evicting the least recently used); returns the
+        trace now held for ``key``, so racing callers converge on one."""
+        size = len(trace)
+        if size > self.budget:
+            return trace
+        with self._lock:
+            self._follow_root()
+            held = self._traces.get(key)
+            if held is not None:
+                return held[0]
+            backed = (cache_enabled()
+                      and _artifact_path("trace", key).exists())
+            while self._held + size > self.budget:
+                _, (old, _) = self._traces.popitem(last=False)
+                self._held -= len(old)
+            self._traces[key] = (trace, backed)
+            self._held += size
+            return trace
+
+    def clear(self) -> None:
+        with self._lock:
+            self._traces.clear()
+            self._held = 0
+
+    def _follow_root(self) -> None:
+        root = cache_root()
+        if root != self._root:
+            self._traces.clear()
+            self._held = 0
+            self._root = root
+
+    def _after_fork(self) -> None:
+        # a pool worker forked while another thread held the lock must
+        # not inherit it held
+        self._lock = threading.Lock()
+
+
+#: the process's one trace layer: 2^21 instructions is 64 traces of 30k
+_TRACES = TraceLayer(budget=1 << 21)
+os.register_at_fork(after_in_child=_TRACES._after_fork)
+
+
 def trace_artifact(benchmark: str, length: int, seed: int | None = None):
-    """The trace for ``(benchmark, length, seed)``, disk-cached.
+    """The trace for ``(benchmark, length, seed)``, cached in process and
+    on disk.
 
     ``benchmark`` is any source-tagged workload reference the
     :mod:`repro.trace.sources` registry accepts: a synthetic profile
@@ -338,17 +432,29 @@ def trace_artifact(benchmark: str, length: int, seed: int | None = None):
     vectorized chunked generator, byte-identical to the original scalar
     generator (an equivalence the test suite enforces per profile);
     ingested traces mmap their stored chunks.
+
+    In front of the disk sits the in-process :class:`TraceLayer`: a
+    repeat returns the very same ``Trace`` object (and so its memo),
+    counted as a ``trace`` cache hit.
     """
     from repro.spec.specs import WorkloadSpec
 
     workload = WorkloadSpec(benchmark, length, seed)
+    recipe = workload.canonical()
+    key = artifact_key("trace", recipe)
+    trace = _TRACES.get(key)
+    if trace is not None:
+        with _spans.span("artifact.trace", content_key=key, hit=True,
+                         layer="memory"):
+            _STATS._bump(_STATS.hits, "trace")
+            return trace
     resolved = workload.resolved_seed()
-    return cached_artifact(
-        "trace",
-        workload.canonical(),
+    trace = cached_artifact(
+        "trace", recipe,
         lambda: trace_chunk_stream(
             workload.benchmark, workload.length, resolved).materialize(),
     )
+    return _TRACES.put(key, trace)
 
 
 # -- the chunk store ---------------------------------------------------------

@@ -148,6 +148,11 @@ def run_fast_stream(
     classified into a stall class and fed to the interval timeline, with
     the identical priority order as the reference loop; with ``None``
     every collection site is skipped and the engine is unchanged.
+    Without an event trace the per-cycle work stays in local variables:
+    class counts go straight into the session's ``counts``, and retired
+    instructions, ROB / window occupancy and miss events are summed here
+    and flushed to the timeline once per base interval
+    (:meth:`~repro.telemetry.timeline.TimelineRecorder.add_interval`).
     """
     length = int(length)
     cfg = config
@@ -228,12 +233,43 @@ def run_fast_stream(
 
     tele = telemetry
     notable_any = instrument or tele is not None
+    #: no event trace needs to see each charge and miss event, so they
+    #: are summed here rather than reported through the session
+    inline = tele is not None and tele.events is None
+    counts = tele.counts if inline else None
+    rec = tele.recorder if tele is not None else None
+    #: the timeline's open base interval [tl_start, tl_end): instructions
+    #: retired before it, its occupancy and miss-event sums so far, and
+    #: the cycle up to which occupancy is summed
+    interval = rec.base_interval if rec is not None else 0
+    tl_start = tl_retired = occ_rob = occ_win = tl_at = 0
+    tl_end = interval
+    tl_misp = tl_imiss = tl_long = 0
     front_cause = CLS_BASE    #: sticky class of the last fetch break
     branch_wait_start = 0     #: cycle the pending mispredict stopped fetch
     dispatched_t = False
     stalled_window_t = stalled_rob_t = False
 
-    while retired < n:
+    while True:
+        if rec is not None:
+            # cycles [tl_at, cycle) — the last cycle simulated and any
+            # skip after it — held the occupancy the machine holds now
+            rob_now = next_dispatch - retired
+            while cycle >= tl_end:
+                span = tl_end - tl_at
+                rec.add_interval(tl_start, base + retired - tl_retired,
+                                 occ_rob + rob_now * span,
+                                 occ_win + window_count * span,
+                                 tl_misp, tl_imiss, tl_long)
+                tl_retired = base + retired
+                occ_rob = occ_win = tl_misp = tl_imiss = tl_long = 0
+                tl_at = tl_start = tl_end
+                tl_end += interval
+            occ_rob += rob_now * (cycle - tl_at)
+            occ_win += window_count * (cycle - tl_at)
+            tl_at = cycle
+        if retired >= n:
+            break
         progress = False
         if tele is not None:
             dispatched_t = False
@@ -241,7 +277,6 @@ def run_fast_stream(
 
         # ---- retire (in order, completed, up to width) ---------------
         if retired < next_dispatch and complete[retired] <= cycle:
-            r0 = retired
             lim = retired + width
             if lim > next_dispatch:
                 lim = next_dispatch
@@ -249,8 +284,6 @@ def run_fast_stream(
             while retired < lim and complete[retired] <= cycle:
                 retired += 1
             progress = True
-            if tele is not None:
-                tele.retire(cycle, retired - r0)
 
         # ---- issue (oldest-first, ready, up to width) -----------------
         if nxt:
@@ -295,7 +328,9 @@ def run_fast_stream(
                 if ev and notable_any:
                     if ev & _MISPREDICTED:
                         mispredict_issued = True
-                        if tele is not None:
+                        if inline:
+                            tl_misp += 1
+                        elif tele is not None:
                             tele.mark_mispredict(cycle, base + k)
                     if ev & _LONG_MISS:
                         if instrument:
@@ -303,7 +338,9 @@ def run_fast_stream(
                             # [retired, next_dispatch), so the entries
                             # ahead of k are exactly k - retired
                             rob_ahead.append(k - retired)
-                        if tele is not None:
+                        if inline:
+                            tl_long += 1
+                        elif tele is not None:
                             tele.mark_long_miss(cycle, base + k, latency[k])
                 w = waiters[k]
                 if w is not None:
@@ -454,13 +491,16 @@ def run_fast_stream(
                 cls = CLS_DCACHE_LONG
             else:
                 cls = front_cause
-            tele.charge(cls, cycle)
+            if inline:
+                counts[cls] += 1
+            else:
+                tele.charge(cls, cycle)
 
         # ---- fetch (up to width, subject to stalls) --------------------
         if waiting_branch >= 0:
             if branch_resolve >= 0 and cycle >= branch_resolve:
                 # misprediction resolved: redirect, refill next cycle
-                if tele is not None:
+                if tele is not None and not inline:
                     tele.mark_branch_redirect(
                         cycle, base + waiting_branch, branch_wait_start
                     )
@@ -567,9 +607,12 @@ def run_fast_stream(
                                 front_cause = (
                                     CLS_ICACHE_L2 if long else CLS_ICACHE_L1
                                 )
-                                tele.mark_icache_stall(
-                                    cycle, base + f, stall, long
-                                )
+                                if inline:
+                                    tl_imiss += 1
+                                else:
+                                    tele.mark_icache_stall(
+                                        cycle, base + f, stall, long
+                                    )
                             break
                         next_fetch += 1
                         if event[f] & _MISPREDICTED:
@@ -589,8 +632,6 @@ def run_fast_stream(
                         ev_q.popleft()
                     ev_next = ev_q[0] - base if ev_q else n
 
-        if tele is not None:
-            tele.occupancy(cycle, 1, next_dispatch - retired, window_count)
         cycle += 1
         if progress or retired >= n:
             continue
@@ -658,7 +699,10 @@ def run_fast_stream(
                     if split > t_next:
                         split = t_next
                     if split > cycle:
-                        tele.charge(idle_cls, cycle, split - cycle)
+                        if inline:
+                            counts[idle_cls] += split - cycle
+                        else:
+                            tele.charge(idle_cls, cycle, split - cycle)
                     if t_next > split:
                         if window_count >= win_size:
                             blocked_cls = CLS_WINDOW_FULL
@@ -671,16 +715,21 @@ def run_fast_stream(
                             )
                         else:  # pragma: no cover — see span-split note
                             blocked_cls = idle_cls
-                        tele.charge(blocked_cls, split, t_next - split)
+                        if inline:
+                            counts[blocked_cls] += t_next - split
+                        else:
+                            tele.charge(blocked_cls, split, t_next - split)
+                elif inline:
+                    counts[idle_cls] += skip
                 else:
                     tele.charge(idle_cls, cycle, skip)
-                tele.occupancy(
-                    cycle, skip, next_dispatch - retired, window_count
-                )
             cycle = t_next
 
     for _ in feed:  # exhaust the feed; raises if it runs past length
         pass
+    if rec is not None and cycle > tl_start:
+        rec.add_interval(tl_start, length - tl_retired, occ_rob, occ_win,
+                         tl_misp, tl_imiss, tl_long)
 
     instr = None
     if instrument:

@@ -39,15 +39,15 @@ class RollupTimelineRecorder(TimelineRecorder):
     """A :class:`TimelineRecorder` whose storage never exceeds ``max_rows``.
 
     Drop-in for the plain recorder (same ``retire`` / ``count`` /
-    ``occupancy`` / ``finalize`` interface); ``interval`` reflects the
-    *current* effective interval (``base_interval << level``).
+    ``occupancy`` / ``add_interval`` / ``finalize`` interface);
+    ``interval`` reflects the *current* effective interval
+    (``base_interval << level``).
     """
 
     def __init__(self, interval: int = 1000, max_rows: int = 512):
         if max_rows < 2:
             raise ValueError("max_rows must be >= 2")
         super().__init__(interval)
-        self.base_interval = interval
         self.max_rows = max_rows
         self.level = 0
 
@@ -76,21 +76,3 @@ class RollupTimelineRecorder(TimelineRecorder):
         while len(series) <= idx:
             series.append(0)
         return idx
-
-    def occupancy(
-        self, cycle: int, span: int, rob: int, window: int
-    ) -> None:
-        """Integrate constant occupancy over ``[cycle, cycle + span)``.
-
-        Re-reads ``self.interval`` every step: ``_bucket`` may coalesce
-        mid-span, and a step bounded by a *fine* boundary always nests
-        inside the coarser bucket, so the integer sums stay exact.
-        """
-        while span > 0:
-            step = min(span, self.interval - cycle % self.interval)
-            idx = self._bucket(self._rob, cycle)
-            self._bucket(self._window, cycle)
-            self._rob[idx] += rob * step
-            self._window[idx] += window * step
-            cycle += step
-            span -= step

@@ -107,9 +107,12 @@ class Telemetry:
     """One simulation run's telemetry collection state.
 
     The engine-facing methods (:meth:`charge`, :meth:`retire`,
-    :meth:`occupancy` and the event markers) are called mid-simulation;
-    :meth:`finish` seals the session into a :class:`TelemetryReport`.
-    A session is single-use: attach a fresh one per run.
+    :meth:`occupancy` and the event markers) are called mid-simulation
+    by the reference loop; the fast engine calls them only when an event
+    trace is attached, and otherwise adds to :attr:`counts` in place and
+    flushes per-interval sums to the recorder.  :meth:`finish` seals the
+    session into a :class:`TelemetryReport`.  A session is single-use:
+    attach a fresh one per run.
     """
 
     def __init__(self, config: TelemetryConfig | None = None):

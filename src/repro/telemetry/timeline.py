@@ -12,10 +12,10 @@ intervals and accumulates, per interval:
   long D-cache misses issued.
 
 Both engines feed the recorder: the reference loop with one call per
-cycle, the fast engine with constant-state spans covering its quiescent
-skips — the resulting timelines are identical (the equivalence suite
-asserts it).  :meth:`IntervalTimeline.render` draws one ASCII sparkline
-per series.
+cycle, the fast engine with one :meth:`TimelineRecorder.add_interval`
+call per base interval, summed in the engine's local variables — the
+resulting timelines are identical (the equivalence suite asserts it).
+:meth:`IntervalTimeline.render` draws one ASCII sparkline per series.
 """
 
 from __future__ import annotations
@@ -83,15 +83,20 @@ class IntervalTimeline:
 class TimelineRecorder:
     """Accumulates interval statistics as a simulation runs.
 
-    All methods take the current cycle; spans may cross interval
-    boundaries and are split internally, so the fast engine can charge a
-    whole quiescent skip with one call.
+    All methods take the current cycle.  The reference loop calls
+    :meth:`retire`, :meth:`count` and :meth:`occupancy` once per cycle;
+    the fast engine flushes one :meth:`add_interval` per base interval.
+    An :meth:`occupancy` span may cross interval boundaries and is split
+    internally.
     """
 
     def __init__(self, interval: int = 1000):
         if interval < 1:
             raise ValueError("interval length must be >= 1")
         self.interval = interval
+        #: the interval :meth:`add_interval` sums are cut at; a rollup
+        #: coarsens ``interval`` but never this
+        self.base_interval = interval
         self._retired: list[int] = []
         self._rob: list[float] = []
         self._window: list[float] = []
@@ -114,7 +119,12 @@ class TimelineRecorder:
     def occupancy(
         self, cycle: int, span: int, rob: int, window: int
     ) -> None:
-        """Integrate constant occupancy over ``[cycle, cycle + span)``."""
+        """Integrate constant occupancy over ``[cycle, cycle + span)``.
+
+        A rollup's ``_bucket`` may coarsen the interval mid-span; a step
+        cut at the finer boundary nests inside the coarser bucket, so
+        the integer sums stay exact.
+        """
         interval = self.interval
         while span > 0:
             step = min(span, interval - cycle % interval)
@@ -124,6 +134,29 @@ class TimelineRecorder:
             self._window[idx] += window * step
             cycle += step
             span -= step
+
+    def add_interval(
+        self, cycle: int, retired: int, rob: int, window: int,
+        mispredicts: int = 0, icache_misses: int = 0, long_misses: int = 0,
+    ) -> None:
+        """Add one base interval's sums at once, where ``cycle`` is any
+        cycle of that interval: instructions retired, the ROB and window
+        occupancy integrals over its cycles, and its miss events.
+
+        The fast engine sums these in local variables and flushes them
+        here once per interval; every sum is an exact integer, so the
+        timeline equals the one per-cycle :meth:`retire`,
+        :meth:`occupancy` and :meth:`count` calls build.
+        """
+        idx = self._bucket(self._rob, cycle)
+        self._bucket(self._window, cycle)
+        self._rob[idx] += rob
+        self._window[idx] += window
+        self.retire(cycle, retired)
+        for field, n in zip(EVENT_FIELDS,
+                            (mispredicts, icache_misses, long_misses)):
+            if n:
+                self.count(field, cycle, n)
 
     def finalize(self, cycles: int, instructions: int) -> IntervalTimeline:
         """Normalize the accumulators into an :class:`IntervalTimeline`."""

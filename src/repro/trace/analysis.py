@@ -61,7 +61,19 @@ def analyze_trace(
     latency_table: LatencyTable | None = None,
     histogram_bins: int = 64,
 ) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` for ``trace``."""
+    """Compute :class:`TraceStatistics` for ``trace``.
+
+    With the default arguments — what every functional pass attaches to
+    its profile — the result is memoized on the trace under
+    ``"statistics"``.
+    """
+    if latency_table is None and histogram_bins == 64:
+        return trace.memo("statistics", lambda: _analyze(trace, None, 64))
+    return _analyze(trace, latency_table, histogram_bins)
+
+
+def _analyze(trace: Trace, latency_table: LatencyTable | None,
+             histogram_bins: int) -> TraceStatistics:
     if len(trace) == 0:
         raise ValueError("cannot analyze an empty trace")
     table = latency_table or LatencyTable()

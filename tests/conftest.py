@@ -101,9 +101,13 @@ def tiny_config() -> MachineSpec:
 @pytest.fixture
 def counted(monkeypatch):
     """Counts real IW-curve measurements and functional passes, through
-    the names a tracing harness wraps."""
+    the names a tracing harness wraps.  Empties the in-process trace
+    layer first, so every count starts from traces with empty memos."""
     from repro.core import steady_state
     from repro.frontend.collector import MissEventCollector
+    from repro.runner import artifacts
+
+    artifacts._TRACES.clear()
 
     calls = {"iw": 0, "collect": 0}
 

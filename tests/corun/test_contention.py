@@ -295,6 +295,15 @@ class TestRunCorunEndToEnd:
         assert payload["content_key"] == spec.content_key()
         assert payload["spec"] == spec.to_dict()
 
+    def test_repeat_coruns_measure_each_workload_once(self, spec, counted):
+        """Uncached co-runs share each workload's trace, and so its IW
+        curve, with every later co-run in the process."""
+        from repro.corun import run_corun
+
+        first = run_corun(spec, reuse=False)
+        assert run_corun(spec, reuse=False) == first
+        assert counted["iw"] == len(spec.workloads)
+
     def test_streaming_is_bit_identical(self, payload, spec):
         from repro.corun import run_corun
 

@@ -52,10 +52,6 @@ class TestSurrogate:
         runs its functional pass once: both are memoized on the trace."""
         import dataclasses
 
-        from repro.experiments.common import _cached_trace_resolved
-
-        _cached_trace_resolved.cache_clear()  # a trace with an empty memo
-
         surrogate = Surrogate()
         spec = RunSpec(workload=WorkloadSpec("gzip", length=2_000))
         for window in (16, 32, 48):

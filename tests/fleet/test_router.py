@@ -8,11 +8,16 @@ the fleet adds.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
+import warnings
 
 import pytest
 
+from repro.fleet import FleetSpec
+from repro.fleet.router import FleetRouter
 from repro.service import ServiceClient
 from repro.service.client import _spec_payload
 from repro.telemetry.metrics import metrics_registry
@@ -214,3 +219,32 @@ class TestFleetSpec:
 
         with pytest.raises(ValueError):
             FleetRouter(FleetSpec(nodes=()))
+
+
+def test_timed_out_health_probe_closes_its_connection():
+    """A node that accepts the probe but never answers times it out; the
+    probe still closes its connection, so no writer is left for the
+    garbage collector to report."""
+    async def probe_silent_node():
+        held = []
+        server = await asyncio.start_server(
+            lambda reader, writer: held.append(writer), "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        router = FleetRouter(FleetSpec(nodes=(f"127.0.0.1:{port}",),
+                                       health_interval_s=0.01))
+        (node,) = router.nodes.values()
+        await router._check_health(node)
+        for writer in held:
+            writer.close()
+        server.close()
+        await server.wait_closed()
+        await node.client.close()
+        return node
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        node = asyncio.run(probe_silent_node())
+        gc.collect()
+    assert not node.healthy
+    assert node.last_error == "healthz: TimeoutError"
+    assert [w for w in caught if w.category is ResourceWarning] == []

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.config import BASELINE, CacheSpec
+from repro.spec import WorkloadSpec
 from repro.runner.artifacts import (
+    TraceLayer,
     UncacheableError,
     annotations_artifact,
     artifact_key,
@@ -130,6 +132,112 @@ def test_trace_artifact_round_trip():
     # a different seed is a different artifact
     seeded = trace_artifact("gzip", 2_000, seed=99)
     assert not np.array_equal(first.pc, seeded.pc)
+
+
+class TestTraceLayer:
+    """The in-process layer in front of the trace store."""
+
+    def test_repeats_share_one_trace_and_its_memo(self):
+        first = trace_artifact("gzip", 2_000)
+        first.memo("probe", lambda: object())
+        again = trace_artifact("gzip", 2_000, seed=WorkloadSpec(
+            "gzip").resolved_seed())
+        assert again is first
+        assert again.memo("probe", lambda: None) is not None
+
+    def test_never_outlives_the_stored_artifact(self):
+        first = trace_artifact("gzip", 2_000)
+        for path in (cache_root() / "trace").rglob("*.pkl"):
+            path.unlink()
+        again = trace_artifact("gzip", 2_000)
+        assert again is not first
+        assert np.array_equal(again.pc, first.pc)
+        assert cache_stats().misses["trace"] == 2
+        assert trace_artifact("gzip", 2_000) is again
+
+    def test_empties_when_the_cache_root_changes(self, tmp_path,
+                                                 monkeypatch):
+        first = trace_artifact("gzip", 2_000)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
+        assert trace_artifact("gzip", 2_000) is not first
+        assert cache_stats().misses["trace"] == 2
+
+    def test_serves_from_memory_while_the_cache_is_disabled(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        first = trace_artifact("gzip", 2_000)
+        assert trace_artifact("gzip", 2_000) is first
+        assert not (cache_root() / "trace").exists()
+
+    def test_serves_from_memory_when_the_store_cannot_write(
+            self, tmp_path, monkeypatch):
+        """A read-only or full root stores nothing, so there is no
+        artifact to validate against: the layer serves its entry."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        first = trace_artifact("gzip", 2_000)
+        assert cache_stats().errors  # nothing was stored
+        assert trace_artifact("gzip", 2_000) is first
+        assert cache_stats().misses["trace"] == 1
+        assert cache_stats().hits["trace"] == 1
+
+    def test_bounded_by_instructions_held(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        layer = TraceLayer(budget=100)
+        layer.put("a", [0] * 60)
+        layer.put("b", [0] * 30)
+        assert layer.get("a") is not None  # b is now least recent
+        layer.put("c", [0] * 30)
+        assert layer.get("b") is None
+        assert layer.get("a") is not None and layer.get("c") is not None
+        oversized = [0] * 101
+        assert layer.put("d", oversized) is oversized
+        assert layer.get("d") is None
+        assert layer.get("a") is not None
+
+    def test_forked_child_never_inherits_a_held_lock(self):
+        import os
+
+        from repro.runner import artifacts
+
+        with artifacts._TRACES._lock:
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if artifacts._TRACES._lock.acquire(timeout=5)
+                         else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_racing_threads_keep_the_budget(self, monkeypatch):
+        import random
+        import sys
+        import threading
+
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        layer = TraceLayer(budget=100)
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            for _ in range(2_000):
+                key = f"k{rng.randrange(10)}"
+                if layer.get(key) is None:
+                    layer.put(key, [0] * rng.randrange(10, 41))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        held = sum(len(t) for t, _ in layer._traces.values())
+        assert layer._held == held <= 100
 
 
 def _hammer_store(args):

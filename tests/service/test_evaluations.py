@@ -117,6 +117,16 @@ class TestEvaluate:
             + payload["cpi_icache_l1"] + payload["cpi_icache_l2"]
             + payload["cpi_dcache"])
 
+    def test_model_requests_share_one_trace_measurement(self, counted):
+        """Model requests that differ only in the machine measure the
+        workload once: every request gets the same in-process trace, and
+        with it the IW curve and functional profile memoized on it."""
+        for width in (2, 4, 8):
+            params = norm("model", {"benchmark": "gzip", "length": 8000,
+                                    "width": width})
+            evaluations.evaluate("model", params)
+        assert counted == {"iw": 1, "collect": 1}
+
     def test_simulate_matches_in_process_execution(self):
         from repro.runner.pool import execute_spec
         from repro.spec import RunSpec, WorkloadSpec

@@ -5,7 +5,10 @@ must simulate identically on the reference loop, the in-memory fast
 engine and the chunk-streamed pipeline (streaming functional pass into
 :func:`~repro.simulator.streaming.run_fast_stream`) at a drawn chunk
 size.  The caches are tiny so misses, long-miss overlap and ROB stalls
-all occur on a few hundred instructions.
+all occur on a few hundred instructions.  Identical means the whole
+telemetry output too: stall-class counts, the interval timeline at a
+drawn interval, the rollup timeline at a drawn row cap, and the event
+trace's JSONL.
 
 Hand-built pathological ``(Trace, EventAnnotations)`` pairs push each
 miss-event class to its extreme, where a generator seldom goes.
@@ -27,7 +30,7 @@ from repro.isa.opclass import OpClass
 from repro.simulator import streaming
 from repro.simulator.processor import DetailedSimulator
 from repro.simulator.streaming import simulate_stream
-from repro.telemetry.session import Telemetry
+from repro.telemetry.session import Telemetry, TelemetryConfig
 from repro.trace.chunks import TraceChunkStream
 from repro.trace.profiles import BENCHMARK_ORDER
 from repro.trace.synthetic import generate_trace
@@ -75,15 +78,25 @@ def _chunked(trace, size: int) -> TraceChunkStream:
         name=trace.name, length=len(trace), chunk_size=size)
 
 
+def _measured(tele: Telemetry) -> tuple:
+    """Everything a finished session measured, in comparable form."""
+    report = tele.report
+    events = report.events.to_jsonl() if report.events is not None else None
+    return tele.counts, report.timeline, events
+
+
 @given(machine=machines(),
        bench=st.sampled_from(BENCHMARK_ORDER),
        length=st.integers(1, 600),
        seed=st.integers(0, 3),
        chunk_size=st.integers(1, 650),
-       small_tables=st.booleans())
+       small_tables=st.booleans(),
+       interval=st.integers(1, 50),
+       max_rows=st.integers(2, 16))
 @settings(max_examples=150, deadline=None)
 def test_engines_agree_on_generated_machines(machine, bench, length, seed,
-                                             chunk_size, small_tables):
+                                             chunk_size, small_tables,
+                                             interval, max_rows):
     trace = generate_trace(bench, length, seed)
     ref_sim = DetailedSimulator(machine, engine="reference", telemetry=False)
     annotations = ref_sim.annotate(trace)
@@ -97,6 +110,27 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
         streamed = simulate_stream(_chunked(trace, chunk_size), machine,
                                    telemetry=False)
     assert_equivalent(streamed, ref)
+    # the fast engine charges class counts in place without an event
+    # trace and through the session with one: draw a session of each
+    configs = (TelemetryConfig(interval=interval),
+               TelemetryConfig(interval=interval, events=True,
+                               max_timeline_rows=max_rows))
+    for config in configs:
+        sessions = [Telemetry(config) for _ in range(3)]
+        ref_sim = DetailedSimulator(machine, engine="reference",
+                                    telemetry=sessions[0])
+        assert_equivalent(ref_sim.run(trace, annotations), ref)
+        fast_sim = DetailedSimulator(machine, engine="fast",
+                                     telemetry=sessions[1])
+        assert_equivalent(fast_sim.run(trace, annotations), ref)
+        with mock.patch.object(streaming, "_TABLE_SPAN", span):
+            streamed = simulate_stream(_chunked(trace, chunk_size), machine,
+                                       telemetry=sessions[2])
+        assert_equivalent(streamed, ref)
+        expected = _measured(sessions[0])
+        assert sum(expected[0]) == ref.cycles
+        assert _measured(sessions[1]) == expected
+        assert _measured(sessions[2]) == expected
 
 
 #: instructions in each pathological trace
@@ -160,9 +194,9 @@ def test_engines_agree_on_pathological_traces(case, machine):
     assert (ref.icache_short_count + ref.icache_long_count
             == np.count_nonzero(annotations.fetch_stall))
     assert_equivalent(fast, ref)
-    counts = sims["reference"].last_telemetry.counts
-    assert sims["fast"].last_telemetry.counts == counts
-    assert sum(counts) == ref.cycles
+    expected = _measured(sims["reference"].last_telemetry)
+    assert _measured(sims["fast"].last_telemetry) == expected
+    assert sum(expected[0]) == ref.cycles
     for span in (streaming._TABLE_SPAN, 0):
         for size in (1, 7, _N):
             tele = Telemetry()
@@ -173,4 +207,5 @@ def test_engines_agree_on_pathological_traces(case, machine):
                 streamed = streaming.run_fast_stream(
                     feed, _N, machine, name=case, telemetry=tele)
             assert_equivalent(streamed, ref)
-            assert tele.counts == counts
+            tele.finish(case, streamed.instructions, streamed.cycles)
+            assert _measured(tele) == expected

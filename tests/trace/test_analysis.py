@@ -44,6 +44,24 @@ class TestAnalyzeTrace:
         with pytest.raises(ValueError):
             analyze_trace(empty)
 
+    def test_default_statistics_are_memoized_on_the_trace(self, gzip_trace):
+        """Every functional pass attaches the default statistics, so they
+        are computed once per trace; other arguments compute afresh."""
+        from repro.frontend.collector import MissEventCollector
+
+        stats = analyze_trace(gzip_trace)
+        assert analyze_trace(gzip_trace) is stats
+        assert MissEventCollector().collect(
+            gzip_trace, annotate=True).trace_stats is stats
+        fresh = analyze_trace(gzip_trace, LatencyTable())
+        assert fresh is not stats
+        assert fresh.mix == stats.mix
+        assert fresh.mean_latency == stats.mean_latency
+        assert (fresh.mean_dependence_distance
+                == stats.mean_dependence_distance)
+        assert np.array_equal(fresh.dependence_distance_histogram,
+                              stats.dependence_distance_histogram)
+
     def test_custom_latency_table(self, gzip_trace):
         slow = LatencyTable.unit().replace(ialu=10)
         fast = analyze_trace(gzip_trace, LatencyTable.unit())
