@@ -10,6 +10,12 @@ that makes 10^7-instruction workloads routine; the guard fails loudly
 if anyone reintroduces a whole-trace materialization on the streaming
 path.
 
+A second case generates a profile the fast span decoder declines (three
+data streams, not a power of two), so the generator's walk over the
+PCG64 tape emits every instruction, and requires the same flat peak at
+50k and 200k instructions: the walk's tape window must not grow with
+the trace.
+
 Usage::
 
     PYTHONPATH=src python scripts/memory_guard.py [--length N]
@@ -21,16 +27,68 @@ import argparse
 import resource
 import sys
 import tracemalloc
+from dataclasses import replace
 
 from repro.config import BASELINE
 from repro.simulator.streaming import simulate_stream
+from repro.trace._fastcore import _FastCore
 from repro.trace.chunks import TraceChunkStream, chunk_layout
 from repro.trace.profiles import get_profile
+from repro.trace.synthetic import _Session
 from repro.trace.vectorgen import (
     DEFAULT_CHUNK_SIZE,
     ChunkedTraceGenerator,
     stream_chunks,
 )
+
+#: the walk-only case: trace lengths and chunk size (two chunks at least
+#: in the short run, so both runs hold a full chunk at their peak)
+WALK_LENGTHS = (50_000, 200_000)
+WALK_CHUNK = 1 << 14
+
+
+def traced_peak(fn):
+    """``fn()``'s result and its peak traced Python allocation (bytes)."""
+    tracemalloc.start()
+    result = fn()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return result, peak
+
+
+def walk_guard(benchmark: str, budget_chunks: float,
+               growth_limit: float) -> bool:
+    """Generation on the walk alone is O(chunk) too."""
+    profile = replace(get_profile(benchmark), num_streams=3)
+    short, full = WALK_LENGTHS
+    if _FastCore.supports(_Session(profile, 64, full, None)):
+        print("FAIL: the walk-only case reached the fast decoder",
+              file=sys.stderr)
+        return False
+    gen = ChunkedTraceGenerator(profile)
+    probe = next(iter(gen.chunks(WALK_CHUNK, chunk_size=WALK_CHUNK)))
+    budget = budget_chunks * chunk_layout(probe)["payload_bytes"]
+
+    def drain(length):
+        return lambda: sum(1 for _ in gen.chunks(length,
+                                                 chunk_size=WALK_CHUNK))
+
+    _, short_peak = traced_peak(drain(short))
+    _, peak = traced_peak(drain(full))
+    growth = peak / short_peak
+    print(f"walk-only peak   {peak / 2**20:.2f} MiB at {full:,} "
+          f"instructions, {short_peak / 2**20:.2f} MiB at {short:,} "
+          f"({growth:.2f}x; {benchmark} with 3 streams, "
+          f"{WALK_CHUNK:,}-instruction chunks)")
+    if peak > budget:
+        print("FAIL: walk-only generation exceeds the O(chunk) budget",
+              file=sys.stderr)
+        return False
+    if growth > growth_limit:
+        print("FAIL: walk-only generation grows with trace length — the "
+              "tape window is no longer bounded", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -67,11 +125,8 @@ def main(argv=None) -> int:
                                   chunk_size=args.chunk_size),
             name=args.benchmark, length=length, chunk_size=args.chunk_size,
         )
-        tracemalloc.start()
-        result = simulate_stream(stream, BASELINE, instrument=False)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return result, peak
+        return traced_peak(
+            lambda: simulate_stream(stream, BASELINE, instrument=False))
 
     # O(chunk) means peak is flat in trace length: measure at a quarter
     # of the target length and at the full length, and require both an
@@ -107,6 +162,8 @@ def main(argv=None) -> int:
         print("FAIL: peak grows with trace length — an O(trace) "
               "allocation is back on the streaming path",
               file=sys.stderr)
+        return 1
+    if not walk_guard(args.benchmark, args.budget_chunks, args.growth_limit):
         return 1
     print("OK: peak memory is O(chunk)")
     return 0

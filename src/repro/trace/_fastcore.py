@@ -1,7 +1,8 @@
 """Vectorized span decoder for the chunked trace generator.
 
-The scalar core in :mod:`repro.trace.vectorgen` replays the original
-generator draw-for-draw.  This module is the fast path: it decodes the
+The generator's walk (:func:`repro.trace.synthetic._walk`), run over the
+tape by :mod:`repro.trace.vectorgen`, replays the reference draw-for-draw.
+This module is the fast path: it decodes the
 same tape in *spans* of tens of thousands of instructions with numpy
 kernels plus one lean Python loop, producing byte-identical columns.
 
@@ -24,18 +25,18 @@ How a span is decoded
     distance beyond the recency window, ziggurat chains leaving the
     window) are encoded as huge ``dq`` values that push ``q`` out of
     range; the resulting ``IndexError`` rolls the current block back,
-    closes the span, and lets the exact scalar core replay that block.
+    closes the span, and lets the walk replay that block exactly.
 4.  The materializer reconstructs every draw *site* from the recorded
     ``q`` starts with vectorized gathers, enumerates all bounded-integer
     draws in order to resolve Lemire uint32 half-cache values, and
     emits the eight trace columns.  Global invariants (half-cache
     parity alternation, absence of Lemire rejection retries on the one
     non-power-of-two bound) are verified; a violation raises
-    ``_SpanInvalid`` and the span is regenerated by the scalar core, so
+    ``_SpanInvalid`` and the span is regenerated by the walk, so
     the fast path can never produce wrong bytes silently.
 
 Preconditions (checked in :meth:`_FastCore.supports` / established by
-the scalar warmup): every bounded draw except the heap line pick has a
+the warm-up walk): every bounded draw except the heap line pick has a
 power-of-two range (no Lemire rejection), the register recency window
 is full, and when the profile touches the heap its recency ring holds
 all 16 lines.  Under these, every draw's tape consumption is a pure
@@ -68,7 +69,7 @@ __all__ = ["FAST_OK", "_FastCore", "_SpanInvalid"]
 
 #: the fast path is gated on the draw-stream replica matching the
 #: installed numpy at import time; on mismatch everything degrades to
-#: the exact scalar core
+#: the exact walk
 FAST_OK = self_check()
 
 _OP_LOAD = int(OpClass.LOAD)
@@ -95,7 +96,7 @@ def _pow2(x: int) -> bool:
 
 
 class _SpanInvalid(Exception):
-    """A span-level invariant failed; redo the span with the scalar core."""
+    """A span-level invariant failed; redo the span with the walk."""
 
 
 class _FastCore:
@@ -154,12 +155,11 @@ class _FastCore:
 
     def run(self, st, count: int, cols) -> None:
         """Emit up to ``count`` instructions via fast spans, falling
-        back to single scalar blocks around rare events."""
-        from repro.trace.vectorgen import _ScalarCore
+        back to single walked blocks around rare events."""
+        from repro.trace.vectorgen import _replay
 
         s = self.s
         end_k = min(st.k + count, s.n)
-        scalar = None
         stalls = 0
         while st.k < end_k:
             span_n = min(end_k - st.k, _SPAN_MAX)
@@ -174,14 +174,10 @@ class _FastCore:
             else:
                 stalls = 0
             if reason == "rare" and st.k < end_k:
-                if scalar is None:
-                    scalar = _ScalarCore(s)
-                scalar.run(st, end_k - st.k, cols, stop=lambda _st: True)
+                _replay(s, st, end_k - st.k, cols, stop=lambda _st: True)
             if stalls > 4:
                 # defensive: never spin without progress
-                if scalar is None:
-                    scalar = _ScalarCore(s)
-                scalar.run(st, end_k - st.k, cols)
+                _replay(s, st, end_k - st.k, cols)
                 return
 
     def _span(self, st, span_n: int, cols) -> str:
@@ -192,9 +188,9 @@ class _FastCore:
             return self._span_fast(st, span_n, cols)
         except _SpanInvalid:
             _restore(st, snap)
-            from repro.trace.vectorgen import _ScalarCore
+            from repro.trace.vectorgen import _replay
 
-            _ScalarCore(self.s).run(st, span_n, cols)
+            _replay(self.s, st, span_n, cols)
             return "ok"
 
     # -- hypothetical tables -------------------------------------------
@@ -456,7 +452,7 @@ class _FastCore:
                 cslice = codes[p_i:p_i + take]
                 if len(cslice) < take:
                     # pool peek exhausted: the eager mid-instruction
-                    # refill is next; let the scalar core replay it
+                    # refill is next; let the walk replay it
                     close = "rare"
                     break
                 for c in cslice:

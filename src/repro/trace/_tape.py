@@ -1,10 +1,10 @@
 """Exact replica of the numpy ``Generator`` draw stream over a raw PCG64 tape.
 
-The chunked trace generator (:mod:`repro.trace.vectorgen`) must be
-*byte-identical* to the original per-instruction generator
-(:mod:`repro.trace.synthetic`), which interleaves scalar ``Generator``
-calls — ``random()``, bounded ``integers()``, ``geometric()`` — in a
-data-dependent order.  Vectorizing that consumer requires separating the
+The synthetic generator's walk (:func:`repro.trace.synthetic._walk`)
+interleaves scalar ``Generator`` calls — ``random()``, bounded
+``integers()``, ``geometric()`` — in a data-dependent order.  The
+chunked generator (:mod:`repro.trace.vectorgen`) must reproduce it byte
+for byte without that ``Generator``, which requires separating the
 *bit source* from the *draw semantics*:
 
 * the bit source is the raw PCG64 ``next_uint64`` sequence (the "tape"),
@@ -23,15 +23,16 @@ data-dependent order.  Vectorizing that consumer requires separating the
   - ``geometric(p)``   -> inversion via the exponential ziggurat for
     p < 1/3, CDF search on one double otherwise
 
-The :class:`Tape` class tracks the consumption cursor and the cached
-uint32 half, so a real ``Generator`` can be re-synchronised at any point
-via ``PCG64.advance`` (see :func:`generator_at`).
+:class:`Tape` tracks the consumption cursor and the cached uint32 half,
+so a real ``Generator`` can be re-synchronised at any point via
+``PCG64.advance`` (see :func:`generator_at`).  The walk draws from a
+windowed :class:`Tape` (``vectorgen._TapeDraws``); the fast span
+decoder (:mod:`repro.trace._fastcore`) vectorizes the same semantics.
 
 Everything here is validated against numpy itself by
-``tests/trace/test_tape.py``; :func:`self_check` runs a fast subset and
-is asserted at import time by the vectorized generator so silent numpy
-behaviour changes degrade to the reference path instead of corrupting
-traces.
+``tests/trace/test_tape.py``.  :func:`self_check` runs a fast subset at
+import time and gates the fast decoder, whose tables also build on
+:data:`FE`/:data:`WE`/:data:`KE`.
 """
 
 from __future__ import annotations
@@ -299,23 +300,6 @@ class Tape:
                 x += 1
             return x
         return math.ceil(-self.std_exp() / math.log1p(-p))
-
-    # -- state --------------------------------------------------------
-
-    def state(self) -> tuple[int, bool, int]:
-        return (self.pos, self.has32, self.cached)
-
-    def restore(self, state: tuple[int, bool, int]) -> None:
-        self.pos, self.has32, self.cached = state
-
-
-def choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative table ``Generator.choice`` builds internally from
-    ``p`` (cumsum then normalise by the last entry); choice picks
-    ``searchsorted(cdf, u, side="right")`` per uniform draw."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 def self_check(seed: int = 12345, n: int = 4096) -> bool:

@@ -27,10 +27,22 @@ Design notes
   so the dynamic branch fraction is ~``1/mean_block_size`` scaled by the
   branch:jump ratio of the profile; body instructions are drawn from the
   remaining mix.
+
+The walk
+--------
+:func:`_walk` states the per-instruction semantics once, as a resumable
+walk over :class:`_GenState` that takes its randomness from a small draw
+interface.  It has two sources: numpy's own ``Generator``
+(:class:`_GeneratorDraws`, what :class:`SyntheticTraceGenerator` uses,
+the reference) and the windowed PCG64 tape of
+:mod:`repro.trace.vectorgen`, which replays the same draws for the
+chunked generator's warm-up and for the spans its fast decoder cannot
+resolve.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +84,11 @@ _BODY_CLASSES = (
     OpClass.FDIV,
     OpClass.IALU,
 )
+
+_OP_LOAD = int(OpClass.LOAD)
+_OP_STORE = int(OpClass.STORE)
+_OP_BRANCH = int(OpClass.BRANCH)
+_OP_JUMP = int(OpClass.JUMP)
 
 # terminator behaviour kinds
 _KIND_LOOP = 0
@@ -158,82 +175,377 @@ class _StaticProgram:
         return len(self.blocks)
 
 
-class _RegisterAllocator:
-    """Destination allocation plus distance-controlled source selection."""
+@dataclass
+class _GenState:
+    """Resumable walk state at an instruction boundary."""
 
-    def __init__(self, profile: BenchmarkProfile, rng: np.random.Generator,
-                 num_regs: int):
-        self._rng = rng
-        self._profile = profile
-        self._writable = list(range(LIVE_IN_REGS, num_regs))
-        self._next = 0
-        # ring buffer of recently written registers, most recent last
-        self._recent: list[int] = []
-        self._recent_cap = 4 * len(self._writable)
-        self._geom_p = 1.0 / profile.dep_mean_distance
-
-    def allocate_dst(self) -> int:
-        """Round-robin over the writable registers: maximises the time
-        before a register is overwritten, so requested dependence
-        distances survive renaming."""
-        reg = self._writable[self._next]
-        self._next = (self._next + 1) % len(self._writable)
-        self._recent.append(reg)
-        if len(self._recent) > self._recent_cap:
-            del self._recent[: -self._recent_cap]
-        return reg
-
-    def pick_source(self) -> int:
-        """A source register at geometric dependence distance, or a
-        live-in register."""
-        if not self._recent or self._rng.random() < self._profile.frac_live_in:
-            return int(self._rng.integers(0, LIVE_IN_REGS))
-        j = int(self._rng.geometric(self._geom_p))
-        if j > len(self._recent):
-            return int(self._rng.integers(0, LIVE_IN_REGS))
-        return self._recent[-j]
+    k: int = 0                 #: instructions emitted so far
+    pos: int = 0               #: tape tokens consumed
+    has32: bool = False        #: uint32 half-cache present
+    cached: int = 0            #: cached uint32 half value
+    allocs: int = 0            #: destination registers allocated so far
+    pool_base: int = 0         #: tape offset of the current opclass pool
+    pool_i: int = 0            #: draws consumed from the current pool
+    block: int = -1            #: current static block (-1: entry not drawn)
+    slot: int = 0              #: next body slot within the current block
+    stream_pos: list[int] | None = None
+    ring: list[int] | None = None          #: last <=16 heap miss lines
+    loop_counters: list[int] | None = None
 
 
-class _AddressStream:
-    """Three-region data-address mixture (stack / streams / heap)."""
+class _Session:
+    """Shared static context for one (profile, length, seed) generation.
 
-    def __init__(self, profile: BenchmarkProfile, rng: np.random.Generator):
-        self._rng = rng
-        self._p = profile
+    Draws the static skeleton with the real generator and records the
+    generator state right after it (``state0``): the opclass pool and
+    the walk draw everything else from that point on.
+    """
+
+    def __init__(self, profile: BenchmarkProfile, num_regs: int,
+                 length: int, seed: int | None) -> None:
+        if num_regs <= LIVE_IN_REGS + 1:
+            raise ValueError(f"num_regs must exceed {LIVE_IN_REGS + 1}")
+        if length <= 0:
+            raise ValueError("trace length must be positive")
+        self.profile = profile
+        self.n = length
+        self.num_writable = num_regs - LIVE_IN_REGS
+        self.recent_cap = 4 * self.num_writable
+
+        rng = np.random.default_rng(profile.seed if seed is None else seed)
+        self.blocks = _StaticProgram(profile, rng).blocks
+        classes, probs = _body_mix(profile)
+        self.body_probs = probs
+        self.body_classes = classes.tolist()
+        self.body_classes_np = classes
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self.body_cdf = cdf            #: numpy, for vectorized pool decode
+        self.body_cdf_list = cdf.tolist()
+
+        #: tape origin: generator state right before the pool draw
+        self.state0 = rng.bit_generator.state
+
         total = profile.stack_frac + profile.stream_frac + profile.heap_frac
-        self._cum_stack = profile.stack_frac / total
-        self._cum_stream = self._cum_stack + profile.stream_frac / total
-        self._stream_pos = [0] * profile.num_streams
-        self._recent_lines: list[int] = []
+        self.cum_stack = profile.stack_frac / total
+        self.cum_stream = self.cum_stack + profile.stream_frac / total
+        self.stack_excl = max(4, profile.stack_bytes) // 4
+        self.num_lines = max(1, profile.heap_bytes // _LOCALITY_LINE)
+        self.geom_p = 1.0 / profile.dep_mean_distance
+        self.frac_live_in = profile.frac_live_in
+        self.frac_two_sources = profile.frac_two_sources
+        self.heap_locality = profile.heap_locality
+        self.num_streams = profile.num_streams
+        self.stream_stride = profile.stream_stride
+        self.stream_bytes = profile.stream_bytes
+        self.has_heap = profile.heap_frac > 0
 
-    def next_address(self) -> int:
-        u = self._rng.random()
-        if u < self._cum_stack:
-            off = int(self._rng.integers(0, max(4, self._p.stack_bytes) // 4)) * 4
-            return STACK_BASE + off
-        if u < self._cum_stream:
-            s = int(self._rng.integers(0, self._p.num_streams))
-            addr = (STREAM_BASE + s * (STREAM_SPACING + STREAM_STAGGER)
-                    + self._stream_pos[s])
-            self._stream_pos[s] = (
-                self._stream_pos[s] + self._p.stream_stride
-            ) % self._p.stream_bytes
-            return addr
-        return self._heap_address()
+    # -- tape access ---------------------------------------------------
 
-    def _heap_address(self) -> int:
-        if self._recent_lines and self._rng.random() < self._p.heap_locality:
-            line = self._recent_lines[
-                int(self._rng.integers(0, len(self._recent_lines)))
-            ]
+    def tokens(self, pos: int, count: int) -> np.ndarray:
+        """``count`` tape tokens starting ``pos`` tokens past the origin."""
+        bg = np.random.PCG64()
+        bg.state = self.state0
+        if pos:
+            bg.advance(pos)
+        gen = np.random.Generator(bg)
+        return gen.integers(0, 2 ** 64, dtype=np.uint64, size=count)
+
+    def initial_state(self) -> _GenState:
+        """State right after the pool draw: ``rng.choice(body_classes,
+        size=n, p=body_probs)`` consumes exactly n doubles, and the
+        skeleton draws may leave an unconsumed uint32 half that the
+        walk's first bounded draw picks up."""
+        return _GenState(
+            pos=self.n,
+            has32=bool(self.state0["has_uint32"]),
+            cached=int(self.state0["uinteger"]),
+            stream_pos=[0] * self.num_streams,
+            ring=[],
+            loop_counters=[0] * len(self.blocks),
+        )
+
+    def pool_peek(self, st: _GenState, count: int) -> np.ndarray:
+        """The next pool opclasses (a pure function of the tape), without
+        consuming them, clamped to stop short of the refill boundary."""
+        count = min(count, self.n - 1 - st.pool_i)
+        if count <= 0:
+            return np.empty(0, dtype=np.int8)
+        toks = self.tokens(st.pool_base + st.pool_i, count)
+        u = (toks >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        idx = np.searchsorted(self.body_cdf, u, side="right")
+        return self.body_classes_np[idx]
+
+    def pool_class_at(self, pos: int) -> int:
+        """Decode a single pool opclass at absolute tape offset ``pos``."""
+        tok = int(self.tokens(pos, 1)[0])
+        u = (tok >> 11) * (2.0 ** -53)
+        return self.body_classes[bisect_right(self.body_cdf_list, u)]
+
+    def is_warm(self, st: _GenState) -> bool:
+        """Fast-decoder preconditions: the register recency window is
+        full (every dependence distance <= cap resolves arithmetically)
+        and, when the profile has heap traffic, the heap recency ring
+        holds its full 16 lines."""
+        return (st.allocs >= self.recent_cap
+                and (not self.has_heap or len(st.ring) >= _RECENCY_DEPTH))
+
+
+class _Columns:
+    """Append-oriented column buffers for one chunk.
+
+    The walk appends per-instruction to plain Python lists; the fast
+    decoder lands whole numpy column blocks via :meth:`append_arrays`.
+    Both interleave freely — list segments are flushed into array parts
+    in order.
+    """
+
+    __slots__ = ("pc", "opclass", "dst", "src1", "src2", "addr", "taken",
+                 "target", "_parts", "_parts_n")
+
+    def __init__(self) -> None:
+        self.pc: list[int] = []
+        self.opclass: list[int] = []
+        self.dst: list[int] = []
+        self.src1: list[int] = []
+        self.src2: list[int] = []
+        self.addr: list[int] = []
+        self.taken: list[bool] = []
+        self.target: list[int] = []
+        self._parts: list[tuple[np.ndarray, ...]] = []
+        self._parts_n = 0
+
+    def __len__(self) -> int:
+        return self._parts_n + len(self.pc)
+
+    def _flush(self) -> None:
+        if not self.pc:
+            return
+        self._parts.append((
+            np.array(self.pc, dtype=np.int64),
+            np.array(self.opclass, dtype=np.int8),
+            np.array(self.dst, dtype=np.int16),
+            np.array(self.src1, dtype=np.int16),
+            np.array(self.src2, dtype=np.int16),
+            np.array(self.addr, dtype=np.int64),
+            np.array(self.taken, dtype=np.bool_),
+            np.array(self.target, dtype=np.int64),
+        ))
+        self._parts_n += len(self.pc)
+        for lst in (self.pc, self.opclass, self.dst, self.src1, self.src2,
+                    self.addr, self.taken, self.target):
+            lst.clear()
+
+    def append_arrays(self, pc, opclass, dst, src1, src2, addr, taken,
+                      target) -> None:
+        """Append one decoded block of columns (from the fast path)."""
+        self._flush()
+        self._parts.append((pc, opclass, dst, src1, src2, addr, taken,
+                            target))
+        self._parts_n += len(pc)
+
+    def to_trace(self, name: str) -> Trace:
+        self._flush()
+        if len(self._parts) == 1:
+            return Trace(*self._parts[0], name=name)
+        cols = [np.concatenate([p[i] for p in self._parts])
+                if self._parts else np.empty(0)
+                for i in range(8)]
+        return Trace(*cols, name=name)
+
+
+def _walk(s: _Session, st: _GenState, draws, count: int, cols: _Columns,
+          stop=None) -> None:
+    """The generator's per-instruction semantics, written once.
+
+    Emits up to ``count`` instructions into ``cols`` and advances ``st``
+    to the exact instruction boundary.  ``draws`` is the randomness:
+    ``random()``, ``integers(excl)`` (``Generator.integers(0, excl)``),
+    ``geometric(p)``, the body-class pool (``pool(st, count)`` for a
+    slice that stays clear of the refill, ``pool_next(st)`` one class at
+    a time across it) and ``save(st)``, which records the draw cursor.
+    ``stop(st)`` is polled at block boundaries and may end the walk
+    early (used to hand over to the fast decoder).
+
+    Destinations go round-robin over the writable registers, which
+    maximises the time before a register is overwritten, so requested
+    dependence distances survive renaming; a dependence reaching past
+    the last ``4 * writable`` allocations falls back to live-in.
+    """
+    n = s.n
+    blocks = s.blocks
+    limit = min(st.k + count, n)
+    random = draws.random
+    integers = draws.integers
+    geometric = draws.geometric
+    frac_live_in = s.frac_live_in
+    geom_p = s.geom_p
+    cap = s.recent_cap
+    writable = s.num_writable
+    two_sources = s.frac_two_sources
+    cum_stack = s.cum_stack
+    cum_stream = s.cum_stream
+    stack_excl = s.stack_excl
+    num_streams = s.num_streams
+    stride = s.stream_stride
+    stream_bytes = s.stream_bytes
+    locality = s.heap_locality
+    num_lines = s.num_lines
+    stream_pos = st.stream_pos
+    ring = st.ring
+    loop_counters = st.loop_counters
+    add_pc, add_op = cols.pc.append, cols.opclass.append
+    add_dst, add_src1 = cols.dst.append, cols.src1.append
+    add_src2, add_addr = cols.src2.append, cols.addr.append
+    add_taken, add_target = cols.taken.append, cols.target.append
+    allocs = st.allocs
+
+    def source() -> int:
+        recent = allocs if allocs < cap else cap
+        if recent == 0 or random() < frac_live_in:
+            return integers(LIVE_IN_REGS)
+        j = geometric(geom_p)
+        if j > recent:
+            return integers(LIVE_IN_REGS)
+        return LIVE_IN_REGS + (allocs - j) % writable
+
+    def address() -> int:
+        u = random()
+        if u < cum_stack:
+            return STACK_BASE + integers(stack_excl) * 4
+        if u < cum_stream:
+            stream = integers(num_streams)
+            pos = stream_pos[stream]
+            stream_pos[stream] = (pos + stride) % stream_bytes
+            return (STREAM_BASE + stream * (STREAM_SPACING + STREAM_STAGGER)
+                    + pos)
+        if ring and random() < locality:
+            line = ring[integers(len(ring))]
         else:
-            num_lines = max(1, self._p.heap_bytes // _LOCALITY_LINE)
-            line = int(self._rng.integers(0, num_lines))
-            self._recent_lines.append(line)
-            if len(self._recent_lines) > _RECENCY_DEPTH:
-                del self._recent_lines[0]
-        off = int(self._rng.integers(0, _LOCALITY_LINE // 4)) * 4
-        return HEAP_BASE + line * _LOCALITY_LINE + off
+            line = integers(num_lines)
+            ring.append(line)
+            if len(ring) > _RECENCY_DEPTH:
+                del ring[0]
+        return (HEAP_BASE + line * _LOCALITY_LINE
+                + integers(_LOCALITY_LINE // 4) * 4)
+
+    if st.block < 0:
+        st.block = integers(len(blocks))
+    k = st.k
+    while k < limit:
+        block = blocks[st.block]
+        body = block.size - 1
+        if st.slot < body:
+            take = min(body - st.slot, limit - k)
+            if st.pool_i + take < n:
+                classes = draws.pool(st, take)
+            else:
+                # the pool runs out inside this span: the reference
+                # refills it eagerly, right after reading the class and
+                # before that instruction's operand draws
+                classes = (draws.pool_next(st) for _ in range(take))
+            pc = block.addr + 4 * st.slot
+            for cls in classes:
+                src1 = source()
+                if cls == _OP_LOAD:
+                    dst = LIVE_IN_REGS + allocs % writable
+                    allocs += 1
+                    src2 = NO_REG
+                    addr = address()
+                elif cls == _OP_STORE:
+                    src2 = source()
+                    dst = NO_REG
+                    addr = address()
+                else:
+                    src2 = source() if random() < two_sources else NO_REG
+                    dst = LIVE_IN_REGS + allocs % writable
+                    allocs += 1
+                    addr = 0
+                add_pc(pc)
+                add_op(cls)
+                add_dst(dst)
+                add_src1(src1)
+                add_src2(src2)
+                add_addr(addr)
+                add_taken(False)
+                add_target(0)
+                pc += 4
+            k += take
+            st.slot += take
+            if k >= limit:
+                break
+        # terminator
+        if block.kind == _KIND_JUMP:
+            op = _OP_JUMP
+            src1 = NO_REG
+            is_taken = True
+            succ = block.jump_targets[integers(len(block.jump_targets))]
+        else:
+            op = _OP_BRANCH
+            src1 = source()
+            if block.kind == _KIND_LOOP:
+                trips = loop_counters[block.index] + 1
+                is_taken = trips < block.trip_count
+                loop_counters[block.index] = trips if is_taken else 0
+            else:
+                is_taken = random() < block.taken_prob
+            succ = block.target if is_taken else (block.index + 1) % len(blocks)
+        add_pc(block.terminator_pc)
+        add_op(op)
+        add_dst(NO_REG)
+        add_src1(src1)
+        add_src2(NO_REG)
+        add_addr(0)
+        add_taken(is_taken)
+        add_target(blocks[succ].addr if is_taken else 0)
+        k += 1
+        st.block = succ
+        st.slot = 0
+        if stop is not None:
+            st.k, st.allocs = k, allocs
+            if stop(st):
+                break
+    st.k, st.allocs = k, allocs
+    draws.save(st)
+
+
+class _GeneratorDraws:
+    """The walk's reference draw source: numpy's own ``Generator``,
+    positioned at the session's ``state0`` with the pool drawn by the
+    same ``rng.choice`` call."""
+
+    def __init__(self, s: _Session) -> None:
+        bg = np.random.PCG64()
+        bg.state = s.state0
+        rng = np.random.Generator(bg)
+        self._rng = rng
+        self._n = s.n
+        self._refill = lambda: rng.choice(s.body_classes_np, size=s.n,
+                                          p=s.body_probs)
+        self._pool = self._refill()
+        self.random = rng.random
+
+    def integers(self, excl: int) -> int:
+        return int(self._rng.integers(0, excl))
+
+    def geometric(self, p: float) -> int:
+        return int(self._rng.geometric(p))
+
+    def pool(self, st: _GenState, count: int) -> list[int]:
+        i = st.pool_i
+        st.pool_i = i + count
+        return self._pool[i:i + count].tolist()
+
+    def pool_next(self, st: _GenState) -> int:
+        cls = int(self._pool[st.pool_i])
+        st.pool_i += 1
+        if st.pool_i >= self._n:
+            self._pool = self._refill()
+            st.pool_i = 0
+        return cls
+
+    def save(self, st: _GenState) -> None:
+        """The generator keeps its own cursor; nothing to record."""
 
 
 class SyntheticTraceGenerator:
@@ -264,93 +576,10 @@ class SyntheticTraceGenerator:
         """
         profile = self.profile
         n = profile.default_length if length is None else int(length)
-        if n <= 0:
-            raise ValueError("trace length must be positive")
-        rng = np.random.default_rng(profile.seed if seed is None else seed)
-
-        program = _StaticProgram(profile, rng)
-        regs = _RegisterAllocator(profile, rng, self.num_regs)
-        mem = _AddressStream(profile, rng)
-
-        body_classes, body_probs = _body_mix(profile)
-
-        pc = np.zeros(n, dtype=np.int64)
-        opclass = np.zeros(n, dtype=np.int8)
-        dst = np.full(n, NO_REG, dtype=np.int16)
-        src1 = np.full(n, NO_REG, dtype=np.int16)
-        src2 = np.full(n, NO_REG, dtype=np.int16)
-        addr = np.zeros(n, dtype=np.int64)
-        taken = np.zeros(n, dtype=np.bool_)
-        target = np.zeros(n, dtype=np.int64)
-
-        # pre-draw body opclasses in bulk; the walk consumes them in order
-        pool = rng.choice(body_classes, size=n, p=body_probs)
-        pool_i = 0
-
-        loop_counters = [0] * len(program)
-        block = program.blocks[int(rng.integers(0, len(program)))]
-        k = 0
-        while k < n:
-            # --- block body -------------------------------------------
-            body = block.size - 1
-            for slot in range(body):
-                if k >= n:
-                    break
-                cls = OpClass(int(pool[pool_i])); pool_i += 1
-                if pool_i >= n:
-                    pool = rng.choice(body_classes, size=n, p=body_probs)
-                    pool_i = 0
-                pc[k] = block.addr + 4 * slot
-                opclass[k] = int(cls)
-                if cls == OpClass.LOAD:
-                    src1[k] = regs.pick_source()
-                    dst[k] = regs.allocate_dst()
-                    addr[k] = mem.next_address()
-                elif cls == OpClass.STORE:
-                    src1[k] = regs.pick_source()
-                    src2[k] = regs.pick_source()
-                    addr[k] = mem.next_address()
-                else:
-                    src1[k] = regs.pick_source()
-                    if rng.random() < profile.frac_two_sources:
-                        src2[k] = regs.pick_source()
-                    dst[k] = regs.allocate_dst()
-                k += 1
-            if k >= n:
-                break
-
-            # --- terminator -------------------------------------------
-            pc[k] = block.terminator_pc
-            if block.kind == _KIND_JUMP:
-                opclass[k] = int(OpClass.JUMP)
-                taken[k] = True
-                is_taken = True
-                dyn_target = block.jump_targets[
-                    int(rng.integers(0, len(block.jump_targets)))
-                ]
-            else:
-                opclass[k] = int(OpClass.BRANCH)
-                src1[k] = regs.pick_source()
-                if block.kind == _KIND_LOOP:
-                    b = block.index
-                    loop_counters[b] += 1
-                    if loop_counters[b] < block.trip_count:
-                        is_taken = True
-                    else:
-                        is_taken = False
-                        loop_counters[b] = 0
-                else:
-                    is_taken = bool(rng.random() < block.taken_prob)
-                taken[k] = is_taken
-                dyn_target = block.target
-            succ = dyn_target if is_taken else (block.index + 1) % len(program)
-            next_block = program.blocks[succ]
-            target[k] = next_block.addr if is_taken else 0
-            k += 1
-            block = next_block
-
-        return Trace(pc, opclass, dst, src1, src2, addr, taken, target,
-                     name=profile.name)
+        s = _Session(profile, self.num_regs, n, seed)
+        cols = _Columns()
+        _walk(s, s.initial_state(), _GeneratorDraws(s), n, cols)
+        return cols.to_trace(profile.name)
 
 
 def _body_mix(profile: BenchmarkProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -365,5 +594,12 @@ def _body_mix(profile: BenchmarkProfile) -> tuple[np.ndarray, np.ndarray]:
 def generate_trace(
     benchmark: str, length: int | None = None, seed: int | None = None
 ) -> Trace:
-    """Convenience wrapper: trace for a named SPECint2000 stand-in."""
-    return SyntheticTraceGenerator(get_profile(benchmark)).generate(length, seed)
+    """Convenience wrapper: trace for a named SPECint2000 stand-in.
+
+    Generated by :class:`~repro.trace.vectorgen.ChunkedTraceGenerator`,
+    whose bytes equal :class:`SyntheticTraceGenerator`'s; the latter is
+    kept as the test oracle.
+    """
+    from repro.trace.vectorgen import ChunkedTraceGenerator
+
+    return ChunkedTraceGenerator(get_profile(benchmark)).generate(length, seed)

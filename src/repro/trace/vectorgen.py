@@ -1,68 +1,53 @@
 """Chunked, vectorized synthetic-trace generation.
 
-Byte-identical re-implementation of
-:class:`repro.trace.synthetic.SyntheticTraceGenerator` that emits a
-trace as a *stream of fixed-size column chunks* instead of one
-whole-trace materialization, and replaces the per-instruction Python
-loop with numpy span kernels.
+Emits the trace of :class:`repro.trace.synthetic.SyntheticTraceGenerator`,
+byte for byte, as a *stream of fixed-size column chunks* instead of one
+whole-trace materialization, and replaces most of the per-instruction
+Python loop with numpy span kernels.
 
 Equivalence strategy
 --------------------
-The original generator interleaves scalar ``numpy.random.Generator``
-draws in a data-dependent order, so naive batching changes every value.
-Instead we split the problem (see :mod:`repro.trace._tape`):
+The reference interleaves scalar ``numpy.random.Generator`` draws in a
+data-dependent order, so naive batching changes every value.  Instead
+we split the problem (see :mod:`repro.trace._tape`):
 
-1. the static program skeleton and the initial opclass pool draw use the
-   *real* generator, exactly like the original;
+1. the static program skeleton uses the *real* generator, exactly like
+   the reference (:class:`~repro.trace.synthetic._Session`);
 2. from that point the raw PCG64 uint64 stream (the "tape") is generated
-   at C speed, and the original's draw sequence is *decoded* from it:
+   at C speed, and the reference's draw sequence is *decoded* from it:
 
-   - a **scalar core** (:class:`_ScalarCore`) replays the walk
-     draw-for-draw via :class:`~repro.trace._tape.Tape`.  It is exact
-     for every profile and every state, and serves as the warmup
-     stepper, the rare-path fallback and the differential oracle;
-   - a **fast span decoder** (:class:`_FastCore`) precomputes, for a
-     window of tape, every *hypothetical* draw outcome (uniform values,
-     ziggurat accept/reject, geometric values, Lemire halves) as numpy
-     arrays, walks the block skeleton in a lean Python loop that only
-     tracks the tape cursor, then materializes all columns with
-     vectorized gathers.  Rare events the vectorized tables cannot
-     resolve (deep ziggurat rejection, dependence distances beyond the
-     recency window, Lemire rejection entry on non-power-of-two bounds)
-     are flagged in the tables and replayed through the scalar core.
+   - the reference's own walk (:func:`~repro.trace.synthetic._walk`)
+     runs over :class:`_TapeDraws`, a windowed
+     :class:`~repro.trace._tape.Tape`, instead of the ``Generator``.
+     It is exact for every profile and every state, and serves as the
+     warm-up stepper, the rare-span replay and the engine for profiles
+     the fast decoder does not support;
+   - a **fast span decoder** (:class:`~repro.trace._fastcore._FastCore`)
+     precomputes, for a window of tape, every *hypothetical* draw
+     outcome (uniform values, ziggurat accept/reject, geometric values,
+     Lemire halves) as numpy arrays, walks the block skeleton in a lean
+     Python loop that only tracks the tape cursor, then materializes all
+     columns with vectorized gathers.  Rare events the vectorized tables
+     cannot resolve (deep ziggurat rejection, dependence distances
+     beyond the recency window, Lemire rejection entry on
+     non-power-of-two bounds) are flagged in the tables and replayed by
+     the walk.
 
-Generation state between chunks lives in :class:`_GenState`, a small
-tuple of integers and short lists, so streaming at any chunk size yields
-byte-identical concatenations (chunk-size invariance) with O(chunk) peak
-memory.
+Generation state between chunks lives in
+:class:`~repro.trace.synthetic._GenState`, a small tuple of integers and
+short lists, so streaming at any chunk size yields byte-identical
+concatenations (chunk-size invariance) with O(chunk) peak memory.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.isa.instruction import NO_REG
-from repro.isa.opclass import OpClass
 from repro.trace._tape import Tape
 from repro.trace.profiles import BenchmarkProfile, get_profile
-from repro.trace.synthetic import (
-    HEAP_BASE,
-    LIVE_IN_REGS,
-    STACK_BASE,
-    STREAM_BASE,
-    STREAM_SPACING,
-    STREAM_STAGGER,
-    _KIND_JUMP,
-    _KIND_LOOP,
-    _LOCALITY_LINE,
-    _RECENCY_DEPTH,
-    _StaticProgram,
-    _body_mix,
-)
+from repro.trace.synthetic import _Columns, _GenState, _Session, _walk
 from repro.trace.trace import Trace
 
 __all__ = ["ChunkedTraceGenerator", "DEFAULT_CHUNK_SIZE", "stream_chunks"]
@@ -70,435 +55,63 @@ __all__ = ["ChunkedTraceGenerator", "DEFAULT_CHUNK_SIZE", "stream_chunks"]
 #: default instructions per chunk; 2**16 keeps span working sets ~10 MB
 DEFAULT_CHUNK_SIZE = 1 << 16
 
-_OP_LOAD = int(OpClass.LOAD)
-_OP_STORE = int(OpClass.STORE)
-_OP_BRANCH = int(OpClass.BRANCH)
-_OP_JUMP = int(OpClass.JUMP)
+#: tape tokens per :class:`_TapeDraws` window
+_WINDOW = 1 << 15
 
 
-@dataclass
-class _GenState:
-    """Resumable generation state at an instruction boundary."""
+class _TapeDraws(Tape):
+    """The walk's draw source over the session's PCG64 tape.
 
-    k: int = 0                 #: instructions emitted so far
-    pos: int = 0               #: tape tokens consumed
-    has32: bool = False        #: uint32 half-cache present
-    cached: int = 0            #: cached uint32 half value
-    allocs: int = 0            #: destination registers allocated so far
-    pool_base: int = 0         #: tape offset of the current opclass pool
-    pool_i: int = 0            #: draws consumed from the current pool
-    block: int = 0             #: current static block index
-    slot: int = 0              #: next body slot within the current block
-    stream_pos: list[int] | None = None
-    ring: list[int] | None = None          #: last <=16 heap miss lines
-    loop_counters: list[int] | None = None
-    started: bool = False      #: first-block draw consumed
+    Holds one window of at most ``_WINDOW`` tokens and slides it forward
+    when a draw runs past its end, so memory stays O(window) however
+    long the walk runs.
+    """
 
+    __slots__ = ("s", "base")
 
-class _Session:
-    """Shared static context for one (profile, length, seed) generation."""
+    def __init__(self, s: _Session, st: _GenState) -> None:
+        super().__init__((), 0, st.has32, st.cached)
+        self.s = s
+        self.base = st.pos     #: tape offset of ``tokens[0]``
 
-    def __init__(self, profile: BenchmarkProfile, num_regs: int,
-                 length: int, seed: int | None) -> None:
-        if num_regs <= LIVE_IN_REGS + 1:
-            raise ValueError(f"num_regs must exceed {LIVE_IN_REGS + 1}")
-        if length <= 0:
-            raise ValueError("trace length must be positive")
-        self.profile = profile
-        self.n = length
-        self.num_writable = num_regs - LIVE_IN_REGS
-        self.recent_cap = 4 * self.num_writable
+    def u64(self) -> int:
+        try:
+            v = self.tokens[self.pos]
+        except IndexError:
+            self.base += self.pos
+            self.tokens = self.s.tokens(self.base, _WINDOW).tolist()
+            self.pos = 0
+            v = self.tokens[0]
+        self.pos += 1
+        return v
 
-        rng = np.random.default_rng(profile.seed if seed is None else seed)
-        self.program = _StaticProgram(profile, rng)
-        self.blocks = self.program.blocks
-        classes, probs = _body_mix(profile)
-        self.body_classes = classes.tolist()
-        self.body_classes_np = np.asarray(classes, dtype=np.int8)
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        self.body_cdf = cdf            #: numpy, for vectorized pool decode
-        self.body_cdf_list = cdf.tolist()
-
-        #: tape origin: generator state right before the pool draw
-        self.state0 = rng.bit_generator.state
-
-        total = profile.stack_frac + profile.stream_frac + profile.heap_frac
-        self.cum_stack = profile.stack_frac / total
-        self.cum_stream = self.cum_stack + profile.stream_frac / total
-        self.stack_excl = max(4, profile.stack_bytes) // 4
-        self.num_lines = max(1, profile.heap_bytes // _LOCALITY_LINE)
-        self.geom_p = 1.0 / profile.dep_mean_distance
-        self.frac_live_in = profile.frac_live_in
-        self.frac_two_sources = profile.frac_two_sources
-        self.heap_locality = profile.heap_locality
-        self.num_streams = profile.num_streams
-        self.stream_stride = profile.stream_stride
-        self.stream_bytes = profile.stream_bytes
-        self.has_heap = profile.heap_frac > 0
-
-    # -- tape access ---------------------------------------------------
-
-    def tokens(self, pos: int, count: int) -> np.ndarray:
-        """``count`` tape tokens starting ``pos`` tokens past the origin."""
-        bg = np.random.PCG64()
-        bg.state = self.state0
-        if pos:
-            bg.advance(pos)
-        gen = np.random.Generator(bg)
-        return gen.integers(0, 2 ** 64, dtype=np.uint64, size=count)
-
-    def initial_state(self) -> _GenState:
-        """State after the pool draw and the entry-block draw."""
-        st = _GenState(
-            stream_pos=[0] * self.num_streams,
-            ring=[],
-            loop_counters=[0] * len(self.blocks),
-        )
-        # the skeleton draws may leave an unconsumed uint32 half in the
-        # generator; the walk's first bounded draw picks it up
-        st.has32 = bool(self.state0["has_uint32"])
-        st.cached = int(self.state0["uinteger"])
-        # rng.choice(body_classes, size=n, p=body_probs) consumes exactly
-        # n doubles; the pool itself is decoded lazily from those tokens
-        st.pool_base = 0
-        st.pool_i = 0
-        st.pos = self.n
-        # entry block: rng.integers(0, len(program))
-        tape = Tape(self.tokens(st.pos, 4), 0, st.has32, st.cached)
-        st.block = tape.integers(len(self.blocks))
-        st.pos += tape.pos
-        st.has32, st.cached = tape.has32, tape.cached
-        st.slot = 0
-        st.started = True
-        return st
-
-    def pool_slice(self, st: _GenState, count: int) -> list[int]:
-        """The next ``count`` pool opclasses (pure function of the tape).
-
-        Callers must ensure the slice does not exhaust the pool
-        (``pool_i + count < n``); exhaustion triggers an *eager* refill
-        in the original generator, which the walk replays explicitly.
-        """
-        if st.pool_i + count >= self.n:
-            raise RuntimeError("pool_slice across a refill boundary")
-        toks = self.tokens(st.pool_base + st.pool_i, count)
-        u = (toks >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        idx = np.searchsorted(self.body_cdf, u, side="right")
+    def pool(self, st: _GenState, count: int) -> list[int]:
+        classes = self.s.pool_peek(st, count).tolist()
         st.pool_i += count
-        arr = np.asarray(self.body_classes, dtype=np.int8)
-        return arr[idx].tolist()
+        return classes
 
-    def pool_peek(self, st: _GenState, count: int) -> np.ndarray:
-        """Like :meth:`pool_slice` but non-mutating, clamped to stop
-        short of the refill boundary, returned as an int8 array."""
-        count = min(count, self.n - 1 - st.pool_i)
-        if count <= 0:
-            return np.empty(0, dtype=np.int8)
-        toks = self.tokens(st.pool_base + st.pool_i, count)
-        u = (toks >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        idx = np.searchsorted(self.body_cdf, u, side="right")
-        return self.body_classes_np[idx]
-
-    def pool_class_at(self, pos: int) -> int:
-        """Decode a single pool opclass at absolute tape offset ``pos``."""
-        tok = int(self.tokens(pos, 1)[0])
-        u = (tok >> 11) * (2.0 ** -53)
-        return self.body_classes[bisect_right(self.body_cdf_list, u)]
-
-    def is_warm(self, st: _GenState) -> bool:
-        """Fast-decoder preconditions: the register recency window is
-        full (every dependence distance <= cap resolves arithmetically)
-        and, when the profile has heap traffic, the heap recency ring
-        holds its full 16 lines."""
-        return (st.allocs >= self.recent_cap
-                and (not self.has_heap or len(st.ring) >= _RECENCY_DEPTH))
-
-
-class _Columns:
-    """Append-oriented column buffers for one chunk.
-
-    The scalar core appends per-instruction to plain Python lists; the
-    fast decoder lands whole numpy column blocks via
-    :meth:`append_arrays`.  Both interleave freely — list segments are
-    flushed into array parts in order.
-    """
-
-    __slots__ = ("pc", "opclass", "dst", "src1", "src2", "addr", "taken",
-                 "target", "_parts", "_parts_n")
-
-    def __init__(self) -> None:
-        self.pc: list[int] = []
-        self.opclass: list[int] = []
-        self.dst: list[int] = []
-        self.src1: list[int] = []
-        self.src2: list[int] = []
-        self.addr: list[int] = []
-        self.taken: list[bool] = []
-        self.target: list[int] = []
-        self._parts: list[tuple[np.ndarray, ...]] = []
-        self._parts_n = 0
-
-    def __len__(self) -> int:
-        return self._parts_n + len(self.pc)
-
-    def _flush(self) -> None:
-        if not self.pc:
-            return
-        self._parts.append((
-            np.array(self.pc, dtype=np.int64),
-            np.array(self.opclass, dtype=np.int8),
-            np.array(self.dst, dtype=np.int16),
-            np.array(self.src1, dtype=np.int16),
-            np.array(self.src2, dtype=np.int16),
-            np.array(self.addr, dtype=np.int64),
-            np.array(self.taken, dtype=np.bool_),
-            np.array(self.target, dtype=np.int64),
-        ))
-        self._parts_n += len(self.pc)
-        for lst in (self.pc, self.opclass, self.dst, self.src1, self.src2,
-                    self.addr, self.taken, self.target):
-            lst.clear()
-
-    def append_arrays(self, pc, opclass, dst, src1, src2, addr, taken,
-                      target) -> None:
-        """Append one decoded block of columns (from the fast path)."""
-        self._flush()
-        self._parts.append((pc, opclass, dst, src1, src2, addr, taken,
-                            target))
-        self._parts_n += len(pc)
-
-    def to_trace(self, name: str) -> Trace:
-        self._flush()
-        if len(self._parts) == 1:
-            return Trace(*self._parts[0], name=name)
-        cols = [np.concatenate([p[i] for p in self._parts])
-                if self._parts else np.empty(0)
-                for i in range(8)]
-        return Trace(*cols, name=name)
-
-
-class _ScalarCore:
-    """Exact draw-for-draw replay of the original walk over the tape.
-
-    Used for the warmup prefix (while the recency window is filling),
-    for spans the fast decoder flags as exceptional, and as the
-    fallback engine for arbitrary profiles.  A window of tape is kept
-    locally and extended on demand so memory stays O(window).
-    """
-
-    _WINDOW = 1 << 15
-
-    def __init__(self, session: _Session) -> None:
-        self.s = session
-
-    # -- tape window ---------------------------------------------------
-
-    def _tape_at(self, st: _GenState) -> tuple[Tape, int]:
-        base = st.pos
-        tape = Tape(self.s.tokens(base, self._WINDOW), 0, st.has32, st.cached)
-        return tape, base
-
-    def _extend(self, tape: Tape, base: int) -> None:
-        more = self.s.tokens(base + len(tape.tokens), self._WINDOW)
-        tape.tokens.extend(more.tolist())
-
-    # -- draw helpers --------------------------------------------------
-
-    def _pick_source(self, tape: Tape, st: _GenState) -> int:
+    def pool_next(self, st: _GenState) -> int:
         s = self.s
-        recent_len = min(st.allocs, s.recent_cap)
-        if recent_len == 0 or tape.random() < s.frac_live_in:
-            return tape.integers(LIVE_IN_REGS)
-        j = tape.geometric(s.geom_p)
-        if j > recent_len:
-            return tape.integers(LIVE_IN_REGS)
-        return LIVE_IN_REGS + (st.allocs - j) % s.num_writable
+        cls = s.pool_class_at(st.pool_base + st.pool_i)
+        st.pool_i += 1
+        if st.pool_i >= s.n:
+            # the refill's rng.choice consumes the next n tokens
+            st.pool_base = self.base + self.pos
+            st.pool_i = 0
+            self.base = st.pool_base + s.n
+            self.tokens = []
+            self.pos = 0
+        return cls
 
-    def _allocate_dst(self, st: _GenState) -> int:
-        reg = LIVE_IN_REGS + st.allocs % self.s.num_writable
-        st.allocs += 1
-        return reg
+    def save(self, st: _GenState) -> None:
+        st.pos = self.base + self.pos
+        st.has32, st.cached = self.has32, self.cached
 
-    def _next_address(self, tape: Tape, st: _GenState) -> int:
-        s = self.s
-        u = tape.random()
-        if u < s.cum_stack:
-            return STACK_BASE + tape.integers(s.stack_excl) * 4
-        if u < s.cum_stream:
-            stream = tape.integers(s.num_streams)
-            addr = (STREAM_BASE + stream * (STREAM_SPACING + STREAM_STAGGER)
-                    + st.stream_pos[stream])
-            st.stream_pos[stream] = (
-                st.stream_pos[stream] + s.stream_stride) % s.stream_bytes
-            return addr
-        ring = st.ring
-        if ring and tape.random() < s.heap_locality:
-            line = ring[tape.integers(len(ring))]
-        else:
-            line = tape.integers(s.num_lines)
-            ring.append(line)
-            if len(ring) > _RECENCY_DEPTH:
-                del ring[0]
-        off = tape.integers(_LOCALITY_LINE // 4) * 4
-        return HEAP_BASE + line * _LOCALITY_LINE + off
 
-    def _emit_body(self, tape: Tape, st: _GenState, cols: _Columns,
-                   cls: int, block) -> None:
-        """Emit one body instruction (slow path used near pool refills)."""
-        s = self.s
-        pc = block.addr + 4 * st.slot
-        if cls == _OP_LOAD:
-            src1 = self._pick_source(tape, st)
-            dst = self._allocate_dst(st)
-            addr = self._next_address(tape, st)
-            src2 = NO_REG
-        elif cls == _OP_STORE:
-            src1 = self._pick_source(tape, st)
-            src2 = self._pick_source(tape, st)
-            addr = self._next_address(tape, st)
-            dst = NO_REG
-        else:
-            src1 = self._pick_source(tape, st)
-            if tape.random() < s.frac_two_sources:
-                src2 = self._pick_source(tape, st)
-            else:
-                src2 = NO_REG
-            dst = self._allocate_dst(st)
-            addr = 0
-        cols.pc.append(pc)
-        cols.opclass.append(cls)
-        cols.dst.append(dst)
-        cols.src1.append(src1)
-        cols.src2.append(src2)
-        cols.addr.append(addr)
-        cols.taken.append(False)
-        cols.target.append(0)
-        st.k += 1
-        st.slot += 1
-
-    # -- the walk ------------------------------------------------------
-
-    def run(self, st: _GenState, count: int, cols: _Columns,
+def _replay(s: _Session, st: _GenState, count: int, cols: _Columns,
             stop=None) -> None:
-        """Emit up to ``count`` instructions into ``cols``; advances
-        ``st`` to the exact boundary.  ``stop(st)`` is polled at block
-        boundaries and may end the span early (used to hand over to the
-        fast decoder as soon as its preconditions hold)."""
-        s = self.s
-        n = s.n
-        blocks = s.blocks
-        st_k_limit = min(st.k + count, n)
-        tape, base = self._tape_at(st)
-        margin = self._WINDOW - 512
-
-        while st.k < st_k_limit:
-            if tape.pos > margin:
-                # re-window instead of growing without bound
-                st.pos = base + tape.pos
-                st.has32, st.cached = tape.has32, tape.cached
-                tape, base = self._tape_at(st)
-                margin = self._WINDOW - 512
-            block = blocks[st.block]
-            body = block.size - 1
-            if st.slot < body:
-                take = min(body - st.slot, st_k_limit - st.k)
-                if st.pool_i + take >= s.n:
-                    # pool exhaustion: the original refills *eagerly*
-                    # (right after reading the class, before that same
-                    # instruction's operand draws), consuming n tape
-                    # tokens mid-instruction — replay one at a time
-                    for _ in range(take):
-                        cls = s.pool_class_at(st.pool_base + st.pool_i)
-                        st.pool_i += 1
-                        if st.pool_i >= s.n:
-                            while len(tape.tokens) < tape.pos + s.n + 64:
-                                self._extend(tape, base)
-                            st.pool_base = base + tape.pos
-                            tape.pos += s.n
-                            st.pool_i = 0
-                        self._emit_body(tape, st, cols, cls, block)
-                    classes = []
-                else:
-                    classes = s.pool_slice(st, take)
-                for cls in classes:
-                    pc = block.addr + 4 * st.slot
-                    if cls == _OP_LOAD:
-                        src1 = self._pick_source(tape, st)
-                        dst = self._allocate_dst(st)
-                        addr = self._next_address(tape, st)
-                        src2 = NO_REG
-                    elif cls == _OP_STORE:
-                        src1 = self._pick_source(tape, st)
-                        src2 = self._pick_source(tape, st)
-                        addr = self._next_address(tape, st)
-                        dst = NO_REG
-                    else:
-                        src1 = self._pick_source(tape, st)
-                        if tape.random() < s.frac_two_sources:
-                            src2 = self._pick_source(tape, st)
-                        else:
-                            src2 = NO_REG
-                        dst = self._allocate_dst(st)
-                        addr = 0
-                    cols.pc.append(pc)
-                    cols.opclass.append(cls)
-                    cols.dst.append(dst)
-                    cols.src1.append(src1)
-                    cols.src2.append(src2)
-                    cols.addr.append(addr)
-                    cols.taken.append(False)
-                    cols.target.append(0)
-                    st.k += 1
-                    st.slot += 1
-                    if tape.pos > margin:
-                        st.pos = base + tape.pos
-                        st.has32, st.cached = tape.has32, tape.cached
-                        tape, base = self._tape_at(st)
-                if st.k >= st_k_limit:
-                    break
-            # terminator
-            if st.k >= n:
-                break
-            pc = block.terminator_pc
-            if block.kind == _KIND_JUMP:
-                opclass = _OP_JUMP
-                src1 = NO_REG
-                is_taken = True
-                dyn_target = block.jump_targets[
-                    tape.integers(len(block.jump_targets))]
-            else:
-                opclass = _OP_BRANCH
-                src1 = self._pick_source(tape, st)
-                if block.kind == _KIND_LOOP:
-                    b = block.index
-                    st.loop_counters[b] += 1
-                    if st.loop_counters[b] < block.trip_count:
-                        is_taken = True
-                    else:
-                        is_taken = False
-                        st.loop_counters[b] = 0
-                else:
-                    is_taken = tape.random() < block.taken_prob
-                dyn_target = block.target
-            succ = dyn_target if is_taken else (block.index + 1) % len(blocks)
-            next_block = blocks[succ]
-            cols.pc.append(pc)
-            cols.opclass.append(opclass)
-            cols.dst.append(NO_REG)
-            cols.src1.append(src1)
-            cols.src2.append(NO_REG)
-            cols.addr.append(0)
-            cols.taken.append(is_taken)
-            cols.target.append(next_block.addr if is_taken else 0)
-            st.k += 1
-            st.block = succ
-            st.slot = 0
-            if stop is not None and stop(st):
-                break
-
-        st.pos = base + tape.pos
-        st.has32, st.cached = tape.has32, tape.cached
+    """Run the walk from ``st`` over the tape (see :func:`_walk`)."""
+    _walk(s, st, _TapeDraws(s, st), count, cols, stop)
 
 
 class ChunkedTraceGenerator:
@@ -523,7 +136,6 @@ class ChunkedTraceGenerator:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         state = session.initial_state()
-        scalar = _ScalarCore(session)
         fast = _fast_core_for(session)
         while state.k < n:
             cols = _Columns()
@@ -532,10 +144,10 @@ class ChunkedTraceGenerator:
                 if fast is not None and session.is_warm(state):
                     fast.run(state, want - len(cols), cols)
                 else:
-                    # scalar warmup; hand over at the first block
+                    # warm-up walk; hand over at the first block
                     # boundary where the fast preconditions hold
                     stop = session.is_warm if fast is not None else None
-                    scalar.run(state, want - len(cols), cols, stop=stop)
+                    _replay(session, state, want - len(cols), cols, stop)
             yield cols.to_trace(profile.name)
 
     def generate(self, length: int | None = None,
