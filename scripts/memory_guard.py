@@ -10,7 +10,12 @@ that makes 10^7-instruction workloads routine; the guard fails loudly
 if anyone reintroduces a whole-trace materialization on the streaming
 path.
 
-A second case generates a profile the fast span decoder declines (three
+The same run with stall telemetry on (interval timeline, no event
+trace) is held to the same budget and growth limit: the engine derives
+the stall classes and the timeline block by block, so that state is
+O(chunk) too.
+
+A last case generates a profile the fast span decoder declines (three
 data streams, not a power of two), so the generator's walk over the
 PCG64 tape emits every instruction, and requires the same flat peak at
 50k and 200k instructions: the walk's tape window must not grow with
@@ -31,6 +36,7 @@ from dataclasses import replace
 
 from repro.config import BASELINE
 from repro.simulator.streaming import simulate_stream
+from repro.telemetry.session import Telemetry
 from repro.trace._fastcore import _FastCore
 from repro.trace.chunks import TraceChunkStream, chunk_layout
 from repro.trace.profiles import get_profile
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
     ))
     chunk_bytes = chunk_layout(probe)["payload_bytes"]
 
-    def run(length):
+    def run(length, telemetry):
         # a cache-independent stream: every pass regenerates, so the
         # guard exercises generation + functional pass + detailed
         # engine — the full streaming pipeline, nothing served from mmap
@@ -125,44 +131,46 @@ def main(argv=None) -> int:
                                   chunk_size=args.chunk_size),
             name=args.benchmark, length=length, chunk_size=args.chunk_size,
         )
-        return traced_peak(
-            lambda: simulate_stream(stream, BASELINE, instrument=False))
+        return traced_peak(lambda: simulate_stream(
+            stream, BASELINE, instrument=False,
+            telemetry=Telemetry() if telemetry else False))
 
+    budget = args.budget_chunks * chunk_bytes
     # O(chunk) means peak is flat in trace length: measure at a quarter
     # of the target length and at the full length, and require both an
     # absolute ceiling and (the sharper check) near-zero growth
     short_length = max(args.length // 4, 2 * args.chunk_size)
-    _, short_peak = run(short_length)
-    result, peak = run(args.length)
-    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-    budget = args.budget_chunks * chunk_bytes
-    growth = peak / short_peak
     print(f"instructions     {args.length:,} "
           f"(short run: {short_length:,})")
     print(f"chunk payload    {chunk_bytes / 2**20:.2f} MiB "
           f"({args.chunk_size:,} instructions)")
-    print(f"peak allocation  {peak / 2**20:.2f} MiB "
-          f"({peak / chunk_bytes:.1f} chunk footprints); "
-          f"short run {short_peak / 2**20:.2f} MiB")
-    print(f"peak growth      {growth:.2f}x over a "
-          f"{args.length / short_length:.1f}x longer trace "
-          f"(limit {args.growth_limit:g}x)")
     print(f"budget           {budget / 2**20:.2f} MiB "
           f"({args.budget_chunks:g} chunks)")
+    for telemetry in (False, True):
+        _, short_peak = run(short_length, telemetry)
+        result, peak = run(args.length, telemetry)
+        growth = peak / short_peak
+        label = "telemetry on" if telemetry else "telemetry off"
+        print(f"{label}:")
+        print(f"  peak allocation  {peak / 2**20:.2f} MiB "
+              f"({peak / chunk_bytes:.1f} chunk footprints); "
+              f"short run {short_peak / 2**20:.2f} MiB")
+        print(f"  peak growth      {growth:.2f}x over a "
+              f"{args.length / short_length:.1f}x longer trace "
+              f"(limit {args.growth_limit:g}x)")
+        print(f"  cycles           {result.cycles:,}  "
+              f"CPI {result.cycles / args.length:.3f}")
+        if peak > budget:
+            print(f"FAIL: streaming peak ({label}) exceeds the O(chunk) "
+                  "budget", file=sys.stderr)
+            return 1
+        if growth > args.growth_limit:
+            print(f"FAIL: peak ({label}) grows with trace length — an "
+                  "O(trace) allocation is back on the streaming path",
+                  file=sys.stderr)
+            return 1
+    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"process max RSS  {rss_kib / 2**10:.1f} MiB")
-    print(f"cycles           {result.cycles:,}  "
-          f"CPI {result.cycles / args.length:.3f}")
-
-    if peak > budget:
-        print("FAIL: streaming peak exceeds the O(chunk) budget",
-              file=sys.stderr)
-        return 1
-    if growth > args.growth_limit:
-        print("FAIL: peak grows with trace length — an O(trace) "
-              "allocation is back on the streaming path",
-              file=sys.stderr)
-        return 1
     if not walk_guard(args.benchmark, args.budget_chunks, args.growth_limit):
         return 1
     print("OK: peak memory is O(chunk)")

@@ -35,17 +35,10 @@ from repro.trace.trace import Trace
 
 
 class StreamingCollector:
-    """Runs the functional pass chunk-at-a-time over a trace stream.
-
-    After :meth:`collect` (or after an :meth:`iter_annotated` iteration
-    has been fully drained) the resulting profile is available as
-    :attr:`profile`.
-    """
+    """Runs the functional pass chunk-at-a-time over a trace stream."""
 
     def __init__(self, config: CollectorConfig | None = None):
         self.config = config or CollectorConfig.of(BASELINE)
-        #: the profile of the most recent completed pass
-        self.profile: MissEventProfile | None = None
 
     def collect(self, stream) -> MissEventProfile:
         """Measure ``stream`` and return its miss-event profile.
@@ -54,10 +47,46 @@ class StreamingCollector:
         for a stream are inherently chunked; consume them through
         :meth:`iter_annotated` instead.
         """
-        for _ in self.iter_annotated(stream, annotate=False):
-            pass
-        assert self.profile is not None
-        return self.profile
+        analyzer = StreamingTraceAnalyzer()
+        branch_count = 0
+        misp_count = 0
+        misp_indices: list[int] = []
+        fetch_accesses = 0
+        icache_short = icache_long = 0
+        load_count = 0
+        d_short = d_long = 0
+        long_indices: list[int] = []
+        length = 0
+        for base, chunk, tallies in self._passes(stream, annotate=False):
+            branch_count += tallies.branch_count
+            misp_count += tallies.misprediction_count
+            misp_indices.extend(base + k for k in tallies.misprediction_indices)
+            fetch_accesses += tallies.fetch_line_accesses
+            icache_short += tallies.icache_short_count
+            icache_long += tallies.icache_long_count
+            load_count += tallies.load_count
+            d_short += tallies.dcache_short_count
+            d_long += tallies.dcache_long_count
+            long_indices.extend(base + k for k in tallies.long_miss_indices)
+            analyzer.update(chunk)
+            length = base + len(chunk)
+
+        return MissEventProfile(
+            name=stream.name,
+            length=length,
+            branch_count=branch_count,
+            misprediction_count=misp_count,
+            misprediction_indices=np.array(misp_indices, dtype=np.int64),
+            fetch_line_accesses=fetch_accesses,
+            icache_short_count=icache_short,
+            icache_long_count=icache_long,
+            load_count=load_count,
+            dcache_short_count=d_short,
+            dcache_long_count=d_long,
+            long_miss_indices=np.array(long_indices, dtype=np.int64),
+            trace_stats=analyzer.finalize(),
+            annotations=None,
+        )
 
     def iter_annotated(
         self, stream, annotate: bool = True
@@ -69,10 +98,15 @@ class StreamingCollector:
         collector); the recording pass then yields each chunk with its
         global base index and, when ``annotate``, its per-instruction
         :class:`EventAnnotations` — the chunk-wise feed the streaming
-        detailed engine consumes.  When the iteration completes,
-        :attr:`profile` holds the aggregated
-        :class:`~repro.frontend.events.MissEventProfile`.
+        detailed engine consumes.  No profile is aggregated: that is
+        :meth:`collect`'s work.
         """
+        for base, chunk, tallies in self._passes(stream, annotate):
+            yield base, chunk, tallies.annotations
+
+    def _passes(self, stream, annotate: bool):
+        """The warm-up passes, then ``(base, chunk, tallies)`` for each
+        chunk of the recording pass."""
         if len(stream) == 0:
             raise ValueError("cannot collect events from an empty stream")
         cfg = self.config
@@ -89,16 +123,6 @@ class StreamingCollector:
                                   record=False)
                     last_line = plan.last_line
 
-        analyzer = StreamingTraceAnalyzer()
-        branch_count = 0
-        misp_count = 0
-        misp_indices: list[int] = []
-        fetch_accesses = 0
-        icache_short = icache_long = 0
-        load_count = 0
-        d_short = d_long = 0
-        long_indices: list[int] = []
-
         base = 0
         last_line = None
         for chunk in stream:
@@ -106,37 +130,9 @@ class StreamingCollector:
             tallies = run_fast_pass(plan, chunk, cfg, hierarchy, predictor,
                                     record=True, annotate=annotate)
             assert tallies is not None
-            branch_count += tallies.branch_count
-            misp_count += tallies.misprediction_count
-            misp_indices.extend(base + k for k in tallies.misprediction_indices)
-            fetch_accesses += tallies.fetch_line_accesses
-            icache_short += tallies.icache_short_count
-            icache_long += tallies.icache_long_count
-            load_count += tallies.load_count
-            d_short += tallies.dcache_short_count
-            d_long += tallies.dcache_long_count
-            long_indices.extend(base + k for k in tallies.long_miss_indices)
-            analyzer.update(chunk)
-            yield base, chunk, tallies.annotations
+            yield base, chunk, tallies
             base += len(chunk)
             last_line = plan.last_line
-
-        self.profile = MissEventProfile(
-            name=stream.name,
-            length=base,
-            branch_count=branch_count,
-            misprediction_count=misp_count,
-            misprediction_indices=np.array(misp_indices, dtype=np.int64),
-            fetch_line_accesses=fetch_accesses,
-            icache_short_count=icache_short,
-            icache_long_count=icache_long,
-            load_count=load_count,
-            dcache_short_count=d_short,
-            dcache_long_count=d_long,
-            long_miss_indices=np.array(long_indices, dtype=np.int64),
-            trace_stats=analyzer.finalize(),
-            annotations=None,
-        )
 
 
 def collect_stream(stream, config: CollectorConfig | None = None

@@ -100,9 +100,12 @@ class DetailedSimulator:
     *reference* engine below is the direct transcription of the machine's
     per-cycle phases, while the *fast* engine
     (:func:`repro.simulator.streaming.run_fast_stream`, fed the whole
-    trace as one chunk) is event-driven with quiescent-cycle skipping.
-    Equivalence is enforced by the regression suite; the fast engine is
-    the default and the reference engine is the test oracle.
+    trace as one chunk, with the trace's memoized dependences) steps
+    instructions instead of cycles, computing each one's fetch,
+    dispatch, issue, completion and retirement cycles from older
+    instructions in one program-order pass.  Equivalence is enforced by
+    the regression suite; the fast engine is the default and the
+    reference engine is the test oracle.
     """
 
     def __init__(self, config: MachineSpec | None = None,

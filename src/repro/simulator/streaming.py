@@ -1,70 +1,62 @@
-"""The event-driven detailed engine, fed chunk by chunk.
+"""The fast detailed engine: one program-order pass per instruction.
 
 :func:`run_fast_stream` is the optimized twin of the reference loop in
 :mod:`repro.simulator.processor`.  It simulates exactly the same machine
-— same phase order within a cycle (retire, issue, dispatch, fetch), same
-structural limits, same miss-event handling — and is asserted cycle-exact
-against the reference by ``tests/simulator/test_engine_equivalence.py``
-at several chunk sizes.  It is the only fast engine: the in-memory path
+and is asserted cycle-exact against it — cycles, instrumentation and
+every telemetry output — by ``tests/simulator/test_engine_equivalence.py``
+and ``tests/simulator/test_engine_fuzz.py`` at several chunk sizes.  It
+is the only fast engine: the in-memory path
 (:meth:`repro.simulator.processor.DetailedSimulator.run`) feeds it the
 whole trace as a single chunk, and the streaming path
-(:func:`simulate_stream`) feeds it the chunks of a stream.  What changes
-from the reference is purely the algorithm:
+(:func:`simulate_stream`) feeds it the chunks of a stream.
 
-* **Index-range structures.**  Dispatch and retirement are both in
-  program order, so the ROB always holds the contiguous trace-index range
-  ``[retired, dispatched)`` and the front-end pipeline holds
-  ``[dispatched, fetched)``.  Both collapse into integer pointers: ROB
-  occupancy, pipeline occupancy and the "instructions ahead of a long
-  miss" instrumentation are all O(1) arithmetic instead of container
-  scans.  The pipeline itself is a deque of *fetch-group* records
-  ``(dispatch_ready_cycle, end_index)`` — one entry per fetch cycle, not
-  per instruction — and a whole group whose dispatch cannot stall is
-  dispatched with a single structural check.
-* **Event-driven wake-up.**  The reference re-scans the whole issue
-  window every cycle to find ready instructions.  Here each instruction
-  is woken exactly once.  Instructions whose producers have all completed
-  by dispatch go onto a plain next-cycle list (the common case; it merges
-  into the ready list without sorting, because newly dispatched indices
-  exceed everything already waiting).  Instructions blocked on an
-  in-flight producer register themselves on that producer's *waiter
-  list*; when the producer issues it walks its waiters, and the waiter
-  whose last outstanding producer this was is scheduled in a calendar
-  (dict of wake cycle → bucket, with a heap of pending wake cycles for
-  the "when is the next wake?" query).  Due instructions merge into a
-  sorted ready list that preserves the machine's oldest-first issue
-  priority.  Work is proportional to instructions and *blocked*
-  dependence edges, not cycles × window size.
-* **Batched fetch.**  The trace positions where fetch can deviate from
-  the conveyor belt (I-miss stalls, mispredicted branches) are
-  precomputed with numpy per chunk; between two such events a whole
-  fetch group is latched as one record with no per-instruction checks.
-* **Event skipping.**  When a cycle performs no retire, issue, dispatch
-  or fetch and changes no front-end state, the machine is quiescent and
-  will stay quiescent until the next scheduled event (a completion, a
-  pipeline-latch expiry, an I-miss refill, a branch resolution).  The
-  engine jumps straight to that cycle, charging the skipped cycles to the
-  instrumentation counters in bulk — long-miss drains cost O(1) instead
-  of O(ΔD) Python iterations.
-* **Bounded tables.**  The per-instruction tables (dependences,
-  latencies, miss events, completion times, waiter lists) cover at most
-  :data:`_TABLE_SPAN` instructions, not the trace, because the machine's
-  live range is architecturally bounded: the ROB holds
-  ``[retired, next_dispatch)`` (≤ ``rob_size``) and the pipeline
-  ``[dispatched, fetched)`` (≤ ``pipeline_depth × width``).  Tables are
-  indexed by trace index minus a base, so the hot loop does no
-  wrap-around arithmetic.  They are filled from the feed as fetch nears
-  the loaded frontier; when that frontier reaches their end, the live
-  range moves to the front and every index the machine holds is
-  rebased, at O(live range) cost.
+The reference steps cycles; this engine steps instructions.  Fetch,
+dispatch and retirement are in program order and issue is oldest-first,
+so no instruction's timing depends on a younger one, and one loop over
+the trace computes each instruction ``k``'s fetch, dispatch, issue,
+completion and retirement cycles ``F``, ``D``, ``I``, ``C``, ``R`` from
+older instructions alone.  With ``W`` the width, ``S`` the window size,
+``cap = pipeline_depth · W`` the front-end pipeline's capacity and ``b``
+the latest mispredicted branch before ``k``:
 
-Dependences are renamed chunk-at-a-time by
-:class:`repro.trace.trace.StreamingRenamer` (producer map carried across
-chunks, indices global), and annotations arrive chunk-wise from
-:class:`repro.frontend.streaming.StreamingCollector` — so the whole
-streaming pipeline, functional pass included, holds O(chunk) state.
-Results are bit-identical for every chunk size; the test suite enforces
-it.
+* ``F_k = max(F_{k-1}, F_{k-W} + 1, D_{k-cap}, C_b + 1)`` plus ``k``'s
+  I-cache stall — the cycle fetch reaches ``k``, delayed by the fill
+  when ``k``'s line misses;
+* ``D_k = max(F_k + depth, D_{k-1}, D_{k-W} + 1, R_{k-rob}, w_k)``,
+  where ``w_k``, the ``S``-th largest issue cycle before ``k``, is the
+  cycle the window first has room for ``k``; a heap pre-filled with
+  ``-1`` sentinels holds the ``S`` largest;
+* ``I_k`` is the first cycle at or after ``max(D_k + 1, C_p)`` over
+  ``k``'s producers ``p`` in which fewer than ``W`` older instructions
+  issue.  A producer ``rob_size`` or more back has retired before ``k``
+  dispatches, so it never binds and the loop reads ``C_{k-rob}`` in its
+  place;
+* ``C_k = I_k + latency_k`` and ``R_k = max(C_k, R_{k-1}, R_{k-W} + 1)``.
+
+The run takes ``R_{n-1} + 1`` cycles.  The loop has no calendar, no
+ready list and no per-cycle step: a long miss costs the same as any
+other instruction.
+
+Instrumentation and telemetry are derived afterwards, block by block,
+with numpy over the timing columns (:class:`_Accounts`).  Each block
+settles the cycles up to its last settled dispatch: a cycle either
+dispatches (``base``) or lies in the gap before the next dispatch,
+where the head of the pipeline is not yet ready (the front-end part,
+classified by branch waits, the ROB head's long miss and the last
+I-cache fill) or ready but blocked by the window, then the ROB.  Every
+class, the interval timeline and the event trace come out of those
+piecewise-constant segments, one per event rather than one per cycle.
+
+**Bounded tables.**  The loop runs over blocks of at most
+:data:`_TABLE_SPAN` instructions, each preceded by a fixed history of
+the older instructions the loop and the derivation still read (two
+ROBs, the pipeline and two issue groups), so streaming memory stays
+O(chunk).  Dependences are
+renamed chunk-at-a-time by :class:`repro.trace.trace.StreamingRenamer`
+(a chunk that is the whole trace reads the trace's memoized
+dependences), and annotations arrive chunk-wise from
+:class:`repro.frontend.streaming.StreamingCollector`.  Results are
+bit-identical for every chunk size; the test suite enforces it.
 
 :func:`simulate_stream` is the end-to-end streaming entry point (the
 counterpart of :meth:`repro.simulator.processor.DetailedSimulator.run`):
@@ -74,11 +66,11 @@ engine over the annotated chunks.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
-from heapq import heappop, heappush
+from bisect import bisect_left, bisect_right
+from heapq import heapreplace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import BASELINE, MachineSpec
 from repro.obs import spans as _spans
@@ -94,18 +86,8 @@ from repro.telemetry.accountant import (
 )
 from repro.trace.trace import StreamingRenamer
 
-#: sentinel completion time for not-yet-issued instructions; any real
-#: cycle count is far below this
-_INF = 1 << 62
-
-#: flags of the ``event`` table; the bits above them hold the I-cache
-#: fetch-stall cycles (``event >> _STALL_SHIFT``)
-_MISPREDICTED = 1
-_LONG_MISS = 2
-_STALL_SHIFT = 2
-
-#: longest table in instructions; a shorter trace gets tables of its
-#: own length, so it loads once and never compacts
+#: longest table in instructions, history included; a shorter trace
+#: gets tables of its own length, so it runs as one block
 _TABLE_SPAN = 1 << 15
 
 
@@ -124,6 +106,47 @@ def _checked_feed(annotated_chunks, length: int):
         raise ValueError(f"feed ended after {fed} of {length} instructions")
 
 
+def _blocks(feed, length: int, lat_vec: np.ndarray, size: int):
+    """The feed's columns ``(dep1, dep2, latency, fetch_stall,
+    mispredicted, long_miss)``, regrouped into blocks of ``size``
+    instructions (the last one shorter)."""
+    renamer = StreamingRenamer()
+    pending: list[tuple] = []
+    have = 0
+    for _, chunk, ann in feed:
+        # the whole trace in one chunk reads its memoized dependences
+        deps = (chunk.dependences() if len(chunk) == length
+                else renamer.rename_chunk(chunk))
+        pending.append((deps.dep1, deps.dep2,
+                        lat_vec[chunk.opclass.astype(np.int64)]
+                        + ann.load_extra,
+                        ann.fetch_stall.astype(np.int64),
+                        ann.mispredicted, ann.long_miss))
+        have += len(chunk)
+        while have >= size:
+            cols = (pending[0] if len(pending) == 1
+                    else tuple(map(np.concatenate, zip(*pending))))
+            yield tuple(c[:size] for c in cols)
+            have -= size
+            pending = [tuple(c[size:] for c in cols)] if have else []
+    if pending:
+        yield tuple(map(np.concatenate, zip(*pending)))
+
+
+def _lagging(column: list, position: int):
+    """An iterator over ``column`` from ``position``: it trails the
+    loop that appends to ``column`` by a fixed distance."""
+    it = iter(column)
+    it.__setstate__(position)
+    return it
+
+
+def _gather(column: list, positions: np.ndarray) -> np.ndarray:
+    """``column`` at ``positions``, as an array."""
+    return np.fromiter(map(column.__getitem__, positions.tolist()),
+                       np.int64, len(positions))
+
+
 def run_fast_stream(
     annotated_chunks,
     length: int,
@@ -134,8 +157,8 @@ def run_fast_stream(
 ) -> SimResult:
     """Simulate ``length`` instructions fed as ``(base, chunk,
     annotations)`` triples (the :meth:`StreamingCollector.iter_annotated`
-    protocol), holding one staged chunk and tables of at most
-    :data:`_TABLE_SPAN` instructions.
+    protocol), holding tables of at most :data:`_TABLE_SPAN`
+    instructions.
 
     The chunks must arrive in order (each ``base`` is the number of
     instructions fed before it) and cover exactly ``length``
@@ -143,614 +166,438 @@ def run_fast_stream(
     raises :class:`ValueError`.  A successful run exhausts the feed.
 
     ``telemetry`` is an optional :class:`repro.telemetry.Telemetry`
-    session.  With one attached, every cycle — including the ones the
-    quiescent-skip path jumps over, charged as constant-state spans — is
-    classified into a stall class and fed to the interval timeline, with
-    the identical priority order as the reference loop; with ``None``
-    every collection site is skipped and the engine is unchanged.
-    Without an event trace the per-cycle work stays in local variables:
-    class counts go straight into the session's ``counts``, and retired
-    instructions, ROB / window occupancy and miss events are summed here
-    and flushed to the timeline once per base interval
-    (:meth:`~repro.telemetry.timeline.TimelineRecorder.add_interval`).
+    session.  With one attached, every cycle is classified into a stall
+    class with the reference loop's priority order and fed to the
+    interval timeline; with ``None`` nothing is derived and the loop is
+    unchanged.  Without an event trace the class counts go straight into
+    the session's ``counts`` and the timeline gets one
+    :meth:`~repro.telemetry.timeline.TimelineRecorder.add_interval` call
+    per base interval; with one, the session's charge and event-marker
+    methods are called in the reference loop's order.
     """
     length = int(length)
     cfg = config
     width = cfg.width
     depth = cfg.pipeline_depth
-    win_size = cfg.window_size
-    rob_size = cfg.rob_size
-    pipe_capacity = depth * width
-
-    feed = _checked_feed(annotated_chunks, length)
-    renamer = StreamingRenamer()
+    rob = cfg.rob_size
+    cap = depth * width
     lat_vec = cfg.latency_table.as_vector()
+
+    #: instructions kept in front of each block.  The loop looks back at
+    #: most rob_size or cap instructions; :class:`_Accounts` leaves the
+    #: block's last cap + width + 1 instructions unsettled and reads up
+    #: to two ROBs behind the first of them
+    hist = 2 * rob + cap + 2 * width + 2
+    block = max(min(_TABLE_SPAN, length + hist), 2 * hist) - hist
+    accounts = (_Accounts(cfg, hist, instrument, telemetry)
+                if instrument or telemetry is not None else None)
+
+    # timing columns, each led by ``hist`` entries of history (sentinels
+    # before the first instruction)
+    F = [-1] * hist
+    D = [-1] * hist
+    C = [0] * hist
+    R = [-1] * hist
+    heap = [-1] * cfg.window_size  #: the S largest issue cycles so far
+    issues: dict[int, int] = {}    #: cycle -> instructions issued then
+    count = issues.get
+    fetch_at = 0  #: earliest fetch for the next instruction
+    d_last = r_last = -1
+    start = 0
+    misp_total = ic_short = ic_long = dc_long = 0
     mem_lat = cfg.hierarchy.memory_latency
 
-    #: the live span ``(fetch frontier + width) - retired`` stays below
-    #: ``rob_size + pipe_capacity + width``; twice that leaves room to
-    #: load after every compaction
-    cap = max(min(_TABLE_SPAN, length),
-              2 * (rob_size + pipe_capacity + width))
+    feed = _checked_feed(annotated_chunks, length)
+    for dep1, dep2, lat, stall, misp, long in _blocks(feed, length,
+                                                      lat_vec, block):
+        nb = len(lat)
+        misp_total += int(np.count_nonzero(misp))
+        ic_short += int(np.count_nonzero((stall > 0) & (stall < mem_lat)))
+        ic_long += int(np.count_nonzero(stall >= mem_lat))
+        dc_long += int(np.count_nonzero(long))
 
-    dep1 = [0] * cap
-    dep2 = [0] * cap
-    latency = [0] * cap
-    event = [0] * cap      #: miss events, see _MISPREDICTED
-    complete = [_INF] * cap
-    pending = [0] * cap    #: unissued-producer count, valid once dispatched
-    ready_max = [0] * cap  #: max completion time over issued producers
-    #: per-producer list of dispatched consumers blocked on it
-    waiters: list[list[int] | None] = [None] * cap
+        # producers as positions in C; one rob_size or more back reads
+        # the instruction rob_size back, which completed before k
+        # dispatched
+        k = np.arange(start, start + nb)
+        low = k - rob
+        offset = hist - start
+        p1 = (np.where(dep1 > low, dep1, low) + offset).tolist()
+        p2 = (np.where(dep2 > low, dep2, low) + offset).tolist()
+        #: fetch events: the stall cycles above a mispredicted flag
+        ev = ((stall << 1) | misp).tolist()
 
-    #: tables loaded straight from the staged chunk (dependences are
-    #: rebased separately)
-    plain = (latency, event)
-    #: tables whose live entries move on compaction
-    moved = plain + (complete, pending, ready_max, waiters)
+        f_append, d_append, c_append, r_append = (
+            F.append, D.append, C.append, R.append)
+        for e, q1, q2, lt, fw, dw, dc, rw, rr in zip(
+                ev, p1, p2, lat.tolist(), _lagging(F, hist - width),
+                _lagging(D, hist - width), _lagging(D, hist - cap),
+                _lagging(R, hist - width), _lagging(R, hist - rob)):
+            f = fw + 1
+            if f < fetch_at:
+                f = fetch_at
+            if f < dc:
+                f = dc
+            if e > 1:
+                f += e >> 1
+            f_append(f)
+            d = f + depth
+            if d < d_last:
+                d = d_last
+            if d <= dw:
+                d = dw + 1
+            if d < rr:
+                d = rr
+            x = heap[0]
+            if d < x:
+                d = x
+            d_append(d)
+            d_last = d
+            i = d + 1
+            x = C[q1]
+            if i < x:
+                i = x
+            x = C[q2]
+            if i < x:
+                i = x
+            m = count(i, 0)
+            while m >= width:
+                i += 1
+                m = count(i, 0)
+            issues[i] = m + 1
+            heapreplace(heap, i)
+            x = i + lt
+            c_append(x)
+            fetch_at = x + 1 if e & 1 else f
+            r = rw + 1
+            if r < r_last:
+                r = r_last
+            if r < x:
+                r = x
+            r_append(r)
+            r_last = r
 
-    #: every index below is local: trace index minus ``base``.  ``n`` is
-    #: the local end of the trace.
-    base = 0
-    n = length
-    #: staged (not yet loaded) arrays of the current chunk
-    stage: tuple[np.ndarray, ...] = ()
-    st_pos = 0
-    st_len = 0
-    loaded_end = 0         #: tables hold trace range [retired, loaded_end)
-    ev_q: deque[int] = deque()  #: staged fetch-event indices (global)
-    ev_next = 0
-
-    #: whole-run miss-event totals, accumulated as chunks are staged
-    misp_total = ic_short = ic_long = dc_long = 0
-
-    cal: dict[int, list[int]] = {}  #: wake cycle -> instructions waking then
-    cal_get = cal.get
-    wt: list[int] = []              #: heap of pending wake cycles (distinct)
-    ready: list[int] = []           #: issue-ready indices, kept sorted
-    nxt: list[int] = []             #: dispatched this cycle, ready the next
-    wake1: list[int] = []           #: freed by an issue, ready next cycle
-
-    #: fetch groups (dispatch_ready_cycle, end_index); together the
-    #: groups cover the pipeline range [next_dispatch, next_fetch)
-    pipe: deque[tuple[int, int]] = deque()
-
-    next_fetch = 0
-    next_dispatch = 0      #: ROB is trace range [retired, next_dispatch)
-    retired = 0
-    window_count = 0       #: dispatched but not yet issued
-    fetch_resume = 0
-    stall_paid_for = -1
-    waiting_branch = -1
-    branch_resolve = -1
-    cycle = 0
-
-    hist = [0] * (width + 1)
-    window_left: list[int] = []
-    rob_ahead: list[int] = []
-    stall_window = 0
-    stall_rob = 0
-
-    tele = telemetry
-    notable_any = instrument or tele is not None
-    #: no event trace needs to see each charge and miss event, so they
-    #: are summed here rather than reported through the session
-    inline = tele is not None and tele.events is None
-    counts = tele.counts if inline else None
-    rec = tele.recorder if tele is not None else None
-    #: the timeline's open base interval [tl_start, tl_end): instructions
-    #: retired before it, its occupancy and miss-event sums so far, and
-    #: the cycle up to which occupancy is summed
-    interval = rec.base_interval if rec is not None else 0
-    tl_start = tl_retired = occ_rob = occ_win = tl_at = 0
-    tl_end = interval
-    tl_misp = tl_imiss = tl_long = 0
-    front_cause = CLS_BASE    #: sticky class of the last fetch break
-    branch_wait_start = 0     #: cycle the pending mispredict stopped fetch
-    dispatched_t = False
-    stalled_window_t = stalled_rob_t = False
-
-    while True:
-        if rec is not None:
-            # cycles [tl_at, cycle) — the last cycle simulated and any
-            # skip after it — held the occupancy the machine holds now
-            rob_now = next_dispatch - retired
-            while cycle >= tl_end:
-                span = tl_end - tl_at
-                rec.add_interval(tl_start, base + retired - tl_retired,
-                                 occ_rob + rob_now * span,
-                                 occ_win + window_count * span,
-                                 tl_misp, tl_imiss, tl_long)
-                tl_retired = base + retired
-                occ_rob = occ_win = tl_misp = tl_imiss = tl_long = 0
-                tl_at = tl_start = tl_end
-                tl_end += interval
-            occ_rob += rob_now * (cycle - tl_at)
-            occ_win += window_count * (cycle - tl_at)
-            tl_at = cycle
-        if retired >= n:
-            break
-        progress = False
-        if tele is not None:
-            dispatched_t = False
-            stalled_window_t = stalled_rob_t = False
-
-        # ---- retire (in order, completed, up to width) ---------------
-        if retired < next_dispatch and complete[retired] <= cycle:
-            lim = retired + width
-            if lim > next_dispatch:
-                lim = next_dispatch
-            retired += 1
-            while retired < lim and complete[retired] <= cycle:
-                retired += 1
-            progress = True
-
-        # ---- issue (oldest-first, ready, up to width) -----------------
-        if nxt:
-            if ready:
-                # every index in nxt was dispatched after everything
-                # already waiting, so appending keeps the list sorted
-                ready += nxt
-                nxt = []
-            else:
-                ready, nxt = nxt, ready
-        if wake1:
-            if ready:
-                for c in wake1:
-                    insort(ready, c)
-                wake1 = []
-            else:
-                wake1.sort()
-                ready, wake1 = wake1, ready
-        if wt and wt[0] <= cycle:
-            bucket = cal.pop(heappop(wt))
-            while wt and wt[0] <= cycle:
-                bucket += cal.pop(heappop(wt))
-            if ready:
-                ready += bucket
-                ready.sort()
-            else:
-                bucket.sort()
-                ready = bucket
-        mispredict_issued = False
-        if ready:
-            cycle_1 = cycle + 1
-            issued_now = len(ready)
-            if issued_now > width:
-                issued_now = width
-            for i in range(issued_now):
-                k = ready[i]
-                done = cycle + latency[k]
-                complete[k] = done
-                if k == waiting_branch:
-                    branch_resolve = done
-                ev = event[k]
-                if ev and notable_any:
-                    if ev & _MISPREDICTED:
-                        mispredict_issued = True
-                        if inline:
-                            tl_misp += 1
-                        elif tele is not None:
-                            tele.mark_mispredict(cycle, base + k)
-                    if ev & _LONG_MISS:
-                        if instrument:
-                            # the ROB holds the contiguous range
-                            # [retired, next_dispatch), so the entries
-                            # ahead of k are exactly k - retired
-                            rob_ahead.append(k - retired)
-                        if inline:
-                            tl_long += 1
-                        elif tele is not None:
-                            tele.mark_long_miss(cycle, base + k, latency[k])
-                w = waiters[k]
-                if w is not None:
-                    waiters[k] = None
-                    for c in w:
-                        if done > ready_max[c]:
-                            ready_max[c] = done
-                        p = pending[c]
-                        if p == 1:
-                            pending[c] = 0
-                            t = ready_max[c]
-                            if t == cycle_1:
-                                # the common latency-1 wake skips the
-                                # calendar machinery entirely
-                                wake1.append(c)
-                            else:
-                                bkt = cal_get(t)
-                                if bkt is None:
-                                    cal[t] = [c]
-                                    heappush(wt, t)
-                                else:
-                                    bkt.append(c)
-                        else:
-                            pending[c] = p - 1
-            del ready[:issued_now]
-            window_count -= issued_now
-            progress = True
-        else:
-            issued_now = 0
-        if instrument:
-            hist[issued_now] += 1
-            if mispredict_issued:
-                window_left.append(window_count)
-
-        # ---- dispatch (in order, up to width, both structures) --------
-        if pipe and pipe[0][0] <= cycle:
-            d0 = next_dispatch
-            stop = pipe[0][1]
-            cnt = stop - d0
-            if (
-                cnt <= width
-                and window_count + cnt <= win_size
-                and stop - retired <= rob_size
-                and (cnt == width or len(pipe) < 2 or pipe[1][0] > cycle)
-            ):
-                # whole-group fast path: the group fits the dispatch
-                # width and both structures, and no younger group could
-                # dispatch this cycle
-                pipe.popleft()
-            else:
-                # dispatch runs through the ready groups up to the width,
-                # and stalls at the first slot the window or ROB lacks
-                lim = d0 + width
-                for t, gend in pipe:
-                    if t > cycle or stop >= lim:
-                        break
-                    stop = gend
-                if stop > lim:
-                    stop = lim
-                room = d0 + win_size - window_count
-                rob_room = retired + rob_size
-                if room < stop or rob_room < stop:
-                    if room <= rob_room:
-                        stop = room
-                        stalled_window_t = True
-                        if instrument:
-                            stall_window += 1
-                    else:
-                        stop = rob_room
-                        stalled_rob_t = True
-                        if instrument:
-                            stall_rob += 1
-                while pipe and pipe[0][1] <= stop:
-                    pipe.popleft()
-            if stop > d0:
-                next_dispatch = stop
-                window_count += stop - d0
-                dispatched_t = True
-                progress = True
-                cycle_1 = cycle + 1
-                for k in range(d0, stop):
-                    pend = 0
-                    r = 0
-                    d = dep1[k]
-                    # deps already retired have completed by now and
-                    # cannot bound the issue time — skip them outright
-                    if d >= retired:
-                        cd = complete[d]
-                        if cd == _INF:
-                            pend = 1
-                            w = waiters[d]
-                            if w is None:
-                                waiters[d] = [k]
-                            else:
-                                w.append(k)
-                        elif cd > r:
-                            r = cd
-                    d = dep2[k]
-                    if d >= retired:
-                        cd = complete[d]
-                        if cd == _INF:
-                            pend += 1
-                            w = waiters[d]
-                            if w is None:
-                                waiters[d] = [k]
-                            else:
-                                w.append(k)
-                        elif cd > r:
-                            r = cd
-                    if pend:
-                        pending[k] = pend
-                        ready_max[k] = r
-                    elif r <= cycle_1:
-                        # a producer completing by cycle+1 cannot delay the
-                        # consumer: its earliest issue is the cycle after
-                        # dispatch anyway
-                        nxt.append(k)
-                    else:
-                        bkt = cal_get(r)
-                        if bkt is None:
-                            cal[r] = [k]
-                            heappush(wt, r)
-                        else:
-                            bkt.append(k)
-
-        if tele is not None:
-            # stall attribution — same priority order as the reference
-            # loop (see repro.telemetry.accountant)
-            if dispatched_t:
-                front_cause = CLS_BASE
-                cls = CLS_BASE
-            elif stalled_window_t:
-                cls = CLS_WINDOW_FULL
-            elif stalled_rob_t:
-                cls = (
-                    CLS_DCACHE_LONG
-                    if event[retired] & _LONG_MISS
-                    and complete[retired] > cycle
-                    else CLS_ROB_FULL
-                )
-            elif waiting_branch >= 0:
-                cls = CLS_BRANCH
-            elif (
-                retired < next_dispatch
-                and event[retired] & _LONG_MISS
-                and complete[retired] > cycle
-            ):
-                cls = CLS_DCACHE_LONG
-            else:
-                cls = front_cause
-            if inline:
-                counts[cls] += 1
-            else:
-                tele.charge(cls, cycle)
-
-        # ---- fetch (up to width, subject to stalls) --------------------
-        if waiting_branch >= 0:
-            if branch_resolve >= 0 and cycle >= branch_resolve:
-                # misprediction resolved: redirect, refill next cycle
-                if tele is not None and not inline:
-                    tele.mark_branch_redirect(
-                        cycle, base + waiting_branch, branch_wait_start
-                    )
-                waiting_branch = -1
-                branch_resolve = -1
-                fetch_resume = cycle + 1
-                progress = True
-        elif cycle >= fetch_resume and next_fetch < n:
-            if loaded_end < n and next_fetch + width > loaded_end:
-                # ---- load tables up to the fetch horizon --------------
-                while loaded_end < n and next_fetch + width > loaded_end:
-                    if st_pos == st_len:
-                        base_c, chunk, ann = next(feed)
-                        deps = renamer.rename_chunk(chunk)
-                        stage = (
-                            deps.dep1,
-                            deps.dep2,
-                            lat_vec[chunk.opclass.astype(np.int64)]
-                            + ann.load_extra,
-                            (ann.fetch_stall.astype(np.int64)
-                             << _STALL_SHIFT)
-                            + ann.mispredicted * _MISPREDICTED
-                            + ann.long_miss * _LONG_MISS,
-                        )
-                        ev_q.extend(
-                            (np.flatnonzero(
-                                (ann.fetch_stall > 0) | ann.mispredicted
-                            ) + base_c).tolist()
-                        )
-                        fs = ann.fetch_stall
-                        misp_total += int(ann.mispredicted.sum())
-                        ic_short += int(((fs > 0) & (fs < mem_lat)).sum())
-                        ic_long += int((fs >= mem_lat).sum())
-                        dc_long += int(ann.long_miss.sum())
-                        st_pos = 0
-                        st_len = len(chunk)
-                        continue
-                    if loaded_end == cap:
-                        # compact: move the live range [retired,
-                        # loaded_end) to the front and rebase every
-                        # index the machine holds.  Fetch is not
-                        # waiting on a branch here, so waiting_branch
-                        # holds no index.
-                        shift = retired
-                        live = loaded_end - shift
-                        for tbl in moved:
-                            tbl[:live] = tbl[shift:loaded_end]
-                        for tbl in (dep1, dep2):
-                            tbl[:live] = [d - shift
-                                          for d in tbl[shift:loaded_end]]
-                        for w in waiters[:live]:
-                            if w is not None:
-                                w[:] = [c - shift for c in w]
-                        for bkt in cal.values():
-                            bkt[:] = [c - shift for c in bkt]
-                        ready = [c - shift for c in ready]
-                        nxt = [c - shift for c in nxt]
-                        wake1 = [c - shift for c in wake1]
-                        pipe = deque((t, e - shift) for t, e in pipe)
-                        base += shift
-                        n -= shift
-                        retired = 0
-                        next_dispatch -= shift
-                        next_fetch -= shift
-                        loaded_end = live
-                        stall_paid_for -= shift
-                    take = st_len - st_pos
-                    if take > cap - loaded_end:
-                        take = cap - loaded_end
-                    src = slice(st_pos, st_pos + take)
-                    dst = slice(loaded_end, loaded_end + take)
-                    dep1[dst] = (stage[0][src] - base).tolist()
-                    dep2[dst] = (stage[1][src] - base).tolist()
-                    for tbl, col in zip(plain, stage[2:]):
-                        tbl[dst] = col[src].tolist()
-                    complete[dst] = [_INF] * take
-                    waiters[dst] = [None] * take
-                    st_pos += take
-                    loaded_end += take
-                ev_next = ev_q[0] - base if ev_q else n
-            space = pipe_capacity - (next_fetch - next_dispatch)
-            if space > 0:
-                m = width if width < space else space
-                end = next_fetch + m
-                if end > n:
-                    end = n
-                if end <= ev_next:
-                    # conveyor path: no stall or mispredict in the group
-                    pipe.append((cycle + depth, end))
-                    next_fetch = end
-                    progress = True
-                else:
-                    f0 = next_fetch
-                    while next_fetch < end:
-                        f = next_fetch
-                        stall = event[f] >> _STALL_SHIFT
-                        if stall and stall_paid_for != f:
-                            # the line misses: resume after the fill
-                            stall_paid_for = f
-                            fetch_resume = cycle + stall
-                            progress = True
-                            if tele is not None:
-                                long = stall >= mem_lat
-                                front_cause = (
-                                    CLS_ICACHE_L2 if long else CLS_ICACHE_L1
-                                )
-                                if inline:
-                                    tl_imiss += 1
-                                else:
-                                    tele.mark_icache_stall(
-                                        cycle, base + f, stall, long
-                                    )
-                            break
-                        next_fetch += 1
-                        if event[f] & _MISPREDICTED:
-                            # stop fetching useful instructions
-                            waiting_branch = f
-                            branch_resolve = (
-                                complete[f] if complete[f] != _INF else -1
-                            )
-                            if tele is not None:
-                                front_cause = CLS_BRANCH
-                                branch_wait_start = cycle
-                            break
-                    if next_fetch != f0:
-                        pipe.append((cycle + depth, next_fetch))
-                        progress = True
-                    while ev_q and ev_q[0] < base + next_fetch:
-                        ev_q.popleft()
-                    ev_next = ev_q[0] - base if ev_q else n
-
-        cycle += 1
-        if progress or retired >= n:
-            continue
-
-        # ---- quiescent: jump to the next cycle anything can change ----
-        t_next = _INF
-        if retired < next_dispatch and complete[retired] < t_next:
-            t_next = complete[retired]
-        if wt and wt[0] < t_next:
-            t_next = wt[0]
-        if (
-            pipe
-            and window_count < win_size
-            and next_dispatch - retired < rob_size
-        ):
-            t = pipe[0][0]
-            if t < t_next:
-                t_next = t
-        if waiting_branch >= 0:
-            if 0 <= branch_resolve < t_next:
-                t_next = branch_resolve
-        elif next_fetch < n and next_fetch - next_dispatch < pipe_capacity:
-            if fetch_resume < t_next:
-                t_next = fetch_resume
-        if t_next == _INF:
-            raise RuntimeError(
-                "simulator deadlock: no schedulable event with "
-                f"{n - retired} instructions outstanding"
-            )
-        skip = t_next - cycle
-        if skip > 0:
-            if instrument:
-                hist[0] += skip
-                # the reference charges a dispatch-stall counter in every
-                # skipped cycle whose pipeline head is dispatch-ready
-                if pipe:
-                    head = pipe[0][0]
-                    blocked = t_next - (head if head > cycle else cycle)
-                    if blocked > 0:
-                        if window_count >= win_size:
-                            stall_window += blocked
-                        elif next_dispatch - retired >= rob_size:
-                            stall_rob += blocked
-            if tele is not None:
-                # classify the skipped cycles in bulk.  The machine state
-                # is frozen throughout, so the span splits into at most
-                # two constant classes: cycles before the pipeline head's
-                # latch expires are front-end starvation, cycles after it
-                # are a structural dispatch stall (the skip logic only
-                # lets the head become ready when a structure is full —
-                # otherwise dispatch would progress and end the skip)
-                if waiting_branch >= 0:
-                    idle_cls = CLS_BRANCH
-                elif (
-                    retired < next_dispatch
-                    and event[retired] & _LONG_MISS
-                    and complete[retired] > cycle
-                ):
-                    idle_cls = CLS_DCACHE_LONG
-                else:
-                    idle_cls = front_cause
-                if pipe:
-                    head = pipe[0][0]
-                    split = head if head > cycle else cycle
-                    if split > t_next:
-                        split = t_next
-                    if split > cycle:
-                        if inline:
-                            counts[idle_cls] += split - cycle
-                        else:
-                            tele.charge(idle_cls, cycle, split - cycle)
-                    if t_next > split:
-                        if window_count >= win_size:
-                            blocked_cls = CLS_WINDOW_FULL
-                        elif next_dispatch - retired >= rob_size:
-                            blocked_cls = (
-                                CLS_DCACHE_LONG
-                                if event[retired] & _LONG_MISS
-                                and complete[retired] > cycle
-                                else CLS_ROB_FULL
-                            )
-                        else:  # pragma: no cover — see span-split note
-                            blocked_cls = idle_cls
-                        if inline:
-                            counts[blocked_cls] += t_next - split
-                        else:
-                            tele.charge(blocked_cls, split, t_next - split)
-                elif inline:
-                    counts[idle_cls] += skip
-                else:
-                    tele.charge(idle_cls, cycle, skip)
-            cycle = t_next
+        start += nb
+        if accounts is not None:
+            accounts.block(F, D, C, R, (lat, stall, misp, long),
+                           start - nb, final=start == length)
+        if start < length:
+            F, D, C, R = F[-hist:], D[-hist:], C[-hist:], R[-hist:]
+            # every later instruction issues after d_last
+            issues = {t: m for t, m in issues.items() if t > d_last}
+            count = issues.get
 
     for _ in feed:  # exhaust the feed; raises if it runs past length
         pass
-    if rec is not None and cycle > tl_start:
-        rec.add_interval(tl_start, length - tl_retired, occ_rob, occ_win,
-                         tl_misp, tl_imiss, tl_long)
-
-    instr = None
-    if instrument:
-        instr = Instrumentation(
-            issued_histogram=np.array(hist, dtype=np.int64),
-            window_left_at_mispredict=window_left,
-            rob_ahead_at_long_miss=rob_ahead,
-            dispatch_stall_rob=stall_rob,
-            dispatch_stall_window=stall_window,
-        )
-
+    cycles = r_last + 1
     return SimResult(
         name=name,
         instructions=length,
-        cycles=cycle,
+        cycles=cycles,
         misprediction_count=misp_total,
         icache_short_count=ic_short,
         icache_long_count=ic_long,
         dcache_long_count=dc_long,
-        instrumentation=instr,
+        instrumentation=(accounts.instrumentation(cycles)
+                         if instrument else None),
     )
+
+
+class _Accounts:
+    """Instrumentation and telemetry of one run, derived block by block
+    from the timing columns.
+
+    After the loop fills a block, the cycles up to its last settled
+    dispatch are settled too: every later instruction dispatches, issues
+    and retires after them, and the block's last ``lookahead``
+    instructions are fetched after them.  :meth:`block` accounts those
+    cycles, ``[c0, c1)``, as the gaps before the dispatches of the heads
+    ``[h0, h1)``, reading any instruction in the block or its history.
+    """
+
+    def __init__(self, cfg: MachineSpec, hist: int, instrument: bool,
+                 tele) -> None:
+        self.cfg = cfg
+        self.hist = hist
+        self.lookahead = cfg.pipeline_depth * cfg.width + cfg.width + 1
+        self.instrument = instrument
+        self.tele = tele
+        #: history of the input columns (latency, fetch stall,
+        #: mispredicted, long miss); a sentinel's latency of 1 puts its
+        #: issue cycle at -1 with its other cycles
+        none = np.zeros(hist, dtype=bool)
+        self.tail = (np.ones(hist, np.int64), np.zeros(hist, np.int64),
+                     none, none)
+        self.h0 = self.c0 = 0
+        self.issued = np.zeros(cfg.width + 1, dtype=np.int64)
+        self.window_left: list[int] = []
+        self.rob_ahead: list[int] = []
+        self.stall_window = self.stall_rob = 0
+        self.rec = tele.recorder if tele is not None else None
+        #: no event trace: counts and miss events skip the session's
+        #: per-event methods
+        self.inline = tele is not None and tele.events is None
+        #: the timeline's open base interval: its first cycle and its
+        #: sums so far (retired, ROB and window occupancy, mispredicts,
+        #: I-cache stalls, long misses)
+        self.tl_start = 0
+        self.tl = [0] * 6
+
+    def instrumentation(self, cycles: int) -> Instrumentation:
+        issued = self.issued.copy()
+        issued[0] = cycles - issued[1:].sum()
+        return Instrumentation(
+            issued_histogram=issued,
+            window_left_at_mispredict=self.window_left,
+            rob_ahead_at_long_miss=self.rob_ahead,
+            dispatch_stall_rob=self.stall_rob,
+            dispatch_stall_window=self.stall_window,
+        )
+
+    def block(self, F, D, C, R, cols, start: int, final: bool) -> None:
+        """Account the cycles the block ending the columns settles."""
+        cfg = self.cfg
+        width = cfg.width
+        rob = cfg.rob_size
+        lat, stall, misp, long = (np.concatenate(pair)
+                                  for pair in zip(self.tail, cols))
+        self.tail = tuple(c[-self.hist:] for c in (lat, stall, misp, long))
+        # R, monotone and read densely only by the timeline's sums,
+        # stays a list
+        D, C = (np.fromiter(c, np.int64, len(c)) for c in (D, C))
+        I = C - lat
+        n = len(D)
+        g0 = start - self.hist  #: trace index of position 0
+        ph0 = self.h0 - g0
+        if final:
+            ph1 = n
+            c1 = R[-1] + 1
+        else:
+            ph1 = n - self.lookahead
+            c1 = int(D[ph1 - 1]) + 1
+        c0 = self.c0
+        self.h0 = g0 + ph1
+        self.c0 = c1
+
+        # heads [h0, h1) that dispatch later than the previous head and
+        # than the width allows: only these can wait on the front end or
+        # be blocked, so only their fetch cycles are read
+        Dk = D[ph0:ph1]
+        Dp = D[ph0 - 1:ph1 - 1]
+        dispatches = Dk > Dp  #: the head opens a new dispatch cycle
+        dl = np.flatnonzero(dispatches
+                            & (Dk > D[ph0 - width:ph1 - width] + 1))
+        head = ph0 + dl
+        Dk, Dp = Dk[dl], Dp[dl]
+        ready = _gather(F, head) + cfg.pipeline_depth
+        lo = np.maximum(np.maximum(Dp, ready), D[head - width] + 1)
+        # dispatch is blocked from lo on; the window is full below the
+        # S-th largest issue cycle among the rob_size instructions
+        # before the head, which the loop's heap made D unless the ROB
+        # bound too
+        w_end = Dk.copy()
+        amb = np.flatnonzero((Dk > lo) & (_gather(R, head - rob) >= Dk))
+        if len(amb):
+            rows = sliding_window_view(I, rob)[head[amb] - rob]
+            size = cfg.window_size
+            w_end[amb] = np.minimum(
+                np.partition(rows, rob - size, axis=1)[:, rob - size],
+                Dk[amb])
+
+        mb = np.flatnonzero(misp)
+        lj = np.flatnonzero(long)
+        mb_i = mb[(I[mb] >= c0) & (I[mb] < c1)]
+        lj_i = lj[(I[lj] >= c0) & (I[lj] < c1)]
+        lj_i = lj_i[np.lexsort((lj_i, I[lj_i]))]
+        if self.instrument:
+            w = np.maximum(w_end, lo)
+            self.stall_window += int((w - lo).sum())
+            self.stall_rob += int((Dk - w).sum())
+            cyc = np.sort(I[(I >= c0) & (I < c1)])
+            if len(cyc):
+                runs = np.diff(np.flatnonzero(np.diff(cyc, prepend=-1,
+                                                      append=-1)))
+                self.issued += np.bincount(runs, minlength=width + 1)
+            # nothing younger than a mispredicted branch is in the window
+            # when it issues
+            self.window_left += (
+                sliding_window_view(I, rob)[mb_i - rob] > I[mb_i, None]
+            ).sum(axis=1).tolist()
+            self.rob_ahead += [k - bisect_right(R, t) for k, t in
+                               zip(lj_i.tolist(), I[lj_i].tolist())]
+        if self.tele is None:
+            return
+
+        # ---- stall classes, as segments (start, length, class) ----------
+        a = Dp + 1
+        front_end = np.minimum(np.maximum(ready, a), Dk)
+        # head ready, dispatch blocked: window full, then ROB full, the
+        # ROB head's outstanding long miss first
+        st = np.flatnonzero(Dk > front_end)
+        s_lo, s_hi = front_end[st], Dk[st]
+        w = np.clip(w_end[st], s_lo, s_hi)
+        rob_head = head[st] - rob
+        x = np.where(long[rob_head], np.clip(C[rob_head], w, s_hi), w)
+        # head not ready: front-end cycles
+        fr = np.flatnonzero(front_end > a)
+        fa, fe = a[fr], front_end[fr]
+        if final:
+            fa = np.append(fa, D[-1] + 1)
+            fe = np.append(fe, c1)
+        sf = np.flatnonzero(stall)
+        fill = _gather(F, sf) - stall[sf]  #: the cycle fetch met the miss
+        # the ROB head is an outstanding long miss from when it becomes
+        # the head, dispatched, until it completes
+        lh = lj[lj > 0]
+        pts, ends, cls = self._front(
+            fa, fe, (_gather(F, mb) + 1, C[mb] + 1),
+            (np.maximum(_gather(R, lh - 1), D[lh]), C[lh]),
+            fill, np.where(stall[sf] >= cfg.hierarchy.memory_latency,
+                           CLS_ICACHE_L2, CLS_ICACHE_L1))
+        sf_i = (fill >= c0) & (fill < c1)
+        if self.inline:
+            counts = self.tele.counts
+            counts[CLS_BASE] += int(np.count_nonzero(dispatches))
+            counts[CLS_WINDOW_FULL] += int((w - s_lo).sum())
+            counts[CLS_DCACHE_LONG] += int((x - w).sum())
+            counts[CLS_ROB_FULL] += int((s_hi - x).sum())
+            for c, cycles in enumerate(np.bincount(
+                    cls, weights=ends - pts, minlength=len(counts))):
+                counts[c] += int(cycles)
+        else:
+            base = D[ph0:ph1][dispatches]
+            seg_start = np.concatenate((base, s_lo, w, x, pts))
+            seg_len = np.concatenate((np.ones(len(base), np.int64), w - s_lo,
+                                      x - w, s_hi - x, ends - pts))
+            seg_cls = np.concatenate((
+                np.repeat([CLS_BASE, CLS_WINDOW_FULL, CLS_DCACHE_LONG,
+                           CLS_ROB_FULL], [len(base)] + [len(st)] * 3),
+                cls))
+            mb_c = mb[(C[mb] >= c0) & (C[mb] < c1)]
+            self._replay(seg_start, seg_len, seg_cls, g0, F, lat, stall,
+                         (lj_i, I[lj_i]), (mb_i, I[mb_i]), (mb_c, C[mb_c]),
+                         (sf[sf_i], fill[sf_i]))
+        if self.rec is not None:
+            self._timeline(c0, c1, final, D, R, I,
+                           (I[mb_i], fill[sf_i], I[lj_i]))
+
+    @staticmethod
+    def _front(fa, fe, branch, long_head, fill, fill_cls):
+        """Segments of the front-end ranges ``[fa, fe)``: a wait for a
+        mispredicted branch (``branch``, sorted disjoint ``(lo, hi)``
+        intervals), else the ROB head's outstanding long miss
+        (``long_head``, likewise), else the class of the last I-cache
+        ``fill`` since the dispatch before the range (:data:`CLS_BASE` if
+        none)."""
+        br_lo, br_hi = branch
+        lh_lo, lh_hi = long_head
+        # a repeated point starts an empty segment
+        pts = np.sort(np.concatenate((fa, br_lo, br_hi, lh_lo, lh_hi,
+                                      fill + 1)))
+        r = np.searchsorted(fa, pts, side="right") - 1
+        keep = r >= 0
+        keep[keep] = pts[keep] < fe[r[keep]]
+        pts, r = pts[keep], r[keep]
+        ends = fe[r]
+        same = r[1:] == r[:-1]
+        ends[:-1][same] = pts[1:][same]
+
+        def within(lo_, hi_):
+            j = np.searchsorted(lo_, pts, side="right") - 1
+            inside = j >= 0
+            inside[inside] = pts[inside] < hi_[j[inside]]
+            return inside
+
+        j = np.searchsorted(fill, pts - 1, side="right") - 1
+        cause = np.full(len(pts), CLS_BASE)
+        hit = j >= 0
+        hit[hit] = fill[j[hit]] >= fa[r[hit]] - 1
+        cause[hit] = fill_cls[j[hit]]
+        cause[within(lh_lo, lh_hi)] = CLS_DCACHE_LONG
+        cause[within(br_lo, br_hi)] = CLS_BRANCH
+        return pts, ends, cause
+
+    def _replay(self, seg_start, seg_len, seg_cls, g0, F, lat, stall,
+                long_issue, misp_issue, redirect, fill):
+        """Call the session's charge and event-marker methods in the
+        reference loop's order: by cycle, issue-phase marks oldest
+        first, then the cycle's charge, then fetch-phase marks (a
+        redirect and an I-cache fill never share a cycle).  Each mark is
+        a pair of position and cycle arrays."""
+        tele = self.tele
+        mem_lat = self.cfg.hierarchy.memory_latency
+        live = seg_len > 0
+        charge = (np.flatnonzero(live), seg_start[live])
+        marks = (long_issue, misp_issue, charge, redirect, fill)
+        sizes = [len(pos) for pos, _ in marks]
+        arg = np.concatenate([pos for pos, _ in marks])
+        cycle = np.concatenate([at for _, at in marks])
+        phase = np.repeat([0, 0, 1, 2, 2], sizes)
+        kind = np.repeat(np.arange(5), sizes)
+        order = np.lexsort((arg, phase, cycle))
+        lat, stall, seg_len, seg_cls = (
+            x.tolist() for x in (lat, stall, seg_len, seg_cls))
+        for t, kd, k in zip(cycle[order].tolist(), kind[order].tolist(),
+                            arg[order].tolist()):
+            if kd == 2:
+                tele.charge(seg_cls[k], t, seg_len[k])
+            elif kd == 0:
+                tele.mark_long_miss(t, g0 + k, lat[k])
+            elif kd == 1:
+                tele.mark_mispredict(t, g0 + k)
+            elif kd == 3:
+                tele.mark_branch_redirect(t, g0 + k, F[k])
+            else:
+                tele.mark_icache_stall(t, g0 + k, stall[k],
+                                       stall[k] >= mem_lat)
+
+    def _timeline(self, c0, c1, final, D, R, I, events) -> None:
+        """Add ``[c0, c1)`` to the timeline, one
+        :meth:`~repro.telemetry.timeline.TimelineRecorder.add_interval`
+        per base interval it completes.
+
+        Occupancy at the end of cycle ``t`` counts the instructions with
+        ``D <= t`` less those with ``R <= t`` (ROB) or ``I <= t``
+        (window), so its sum over the cycles below ``y`` is
+        ``sum(max(0, y - X))`` over each column ``X``.  The sums run
+        over the whole table: an instruction before ``c0`` adds the same
+        to ``D``'s sum as to the others'.  ``I`` is not sorted, but every
+        ``I < y`` belongs to one of the ``cd`` instructions dispatched
+        before ``y``, and those of them with ``I >= y`` are in the ROB,
+        so within the last ``rob_size`` of them.
+        """
+        rec = self.rec
+        iv = rec.base_interval
+        pts = np.concatenate(([c0], np.arange((c0 // iv + 1) * iv, c1, iv),
+                              [c1]))
+
+        def below(x, c):  # sum(max(0, y - x[j])) over j < c, per point y
+            # x[:c] sums by segments between the points, in one pass
+            cuts = np.concatenate(([0], c))
+            part = np.add.reduceat(np.append(x, 0), cuts)[:-1]
+            part[cuts[:-1] == cuts[1:]] = 0
+            return c * pts - np.cumsum(part)
+
+        cd = np.searchsorted(D, pts)
+        cr = [bisect_left(R, y) for y in pts.tolist()]
+        r_sum = np.cumsum([sum(R[i:j]) for i, j in zip([0] + cr, cr)])
+        rows = sliding_window_view(I, self.cfg.rob_size)[
+            cd - self.cfg.rob_size] - pts[:, None]
+        late = np.where(rows > 0, rows, 0).sum(axis=1)
+        d_sum = below(D, cd)
+        sums = [np.diff(cr), np.diff(d_sum - cr * pts + r_sum),
+                np.diff(d_sum - below(I, cd) - late)]
+        if self.inline:
+            sums += [np.diff(np.searchsorted(e, pts)) for e in events]
+        tl = self.tl
+        cut = pts[1:].tolist()
+        for j, row in enumerate(zip(*(s.tolist() for s in sums))):
+            for f, v in enumerate(row):
+                tl[f] += v
+            if cut[j] % iv == 0 or (final and j == len(cut) - 1):
+                rec.add_interval(self.tl_start, *tl)
+                self.tl_start = cut[j]
+                tl[:] = [0] * 6
 
 
 def simulate_stream(
@@ -781,8 +628,6 @@ def simulate_stream(
     feed = collector.iter_annotated(stream, annotate=True)
     with _spans.span("sim.stream.engine", workload=stream.name,
                      instructions=n):
-        # the engine exhausts the feed, so the collector finalizes its
-        # profile
         result = run_fast_stream(feed, n, cfg, name=stream.name,
                                  instrument=instrument, telemetry=tele)
     if tele is not None:

@@ -13,7 +13,7 @@ intervals and accumulates, per interval:
 
 Both engines feed the recorder: the reference loop with one call per
 cycle, the fast engine with one :meth:`TimelineRecorder.add_interval`
-call per base interval, summed in the engine's local variables — the
+call per base interval, summed from its timing columns — the
 resulting timelines are identical (the equivalence suite asserts it).
 :meth:`IntervalTimeline.render` draws one ASCII sparkline per series.
 """
@@ -143,8 +143,8 @@ class TimelineRecorder:
         cycle of that interval: instructions retired, the ROB and window
         occupancy integrals over its cycles, and its miss events.
 
-        The fast engine sums these in local variables and flushes them
-        here once per interval; every sum is an exact integer, so the
+        The fast engine sums these from its timing columns and flushes
+        them here once per interval; every sum is an exact integer, so the
         timeline equals the one per-cycle :meth:`retire`,
         :meth:`occupancy` and :meth:`count` calls build.
         """

@@ -65,8 +65,8 @@ def test_fast_engine_matches_reference(bench_name, length, config,
         trace, annotations
     )
     assert_equivalent(fast, ref)
-    # the smallest tables the engine allows (twice the live range), so
-    # the chunked runs compact them many times over
+    # the smallest tables the engine allows (twice the history it keeps
+    # in front of a block), so the chunked runs cross many blocks
     monkeypatch.setattr(streaming, "_TABLE_SPAN", 0)
     for size in CHUNK_SIZES:
         feed = [(i, trace[i:i + size], _annotation_slice(annotations, i,

@@ -104,7 +104,7 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
     fast = DetailedSimulator(machine, engine="fast", telemetry=False).run(
         trace, annotations)
     assert_equivalent(fast, ref)
-    # the smallest tables the engine allows make it compact them often
+    # the smallest tables the engine allows make it cross many blocks
     span = 0 if small_tables else streaming._TABLE_SPAN
     with mock.patch.object(streaming, "_TABLE_SPAN", span):
         streamed = simulate_stream(_chunked(trace, chunk_size), machine,
@@ -136,6 +136,12 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
 #: instructions in each pathological trace
 _N = 300
 
+#: consumer distance past rob_size of each ``long-load-consumer-at-rob``
+#: case
+_ROB_EDGES = {"long-load-consumer-at-rob-minus-1": -1,
+              "long-load-consumer-at-rob": 0,
+              "long-load-consumer-at-rob-plus-1": 1}
+
 
 def _pathological(case: str, machine: MachineSpec):
     """The ``(trace, annotations)`` pair named ``case`` for ``machine``."""
@@ -166,6 +172,29 @@ def _pathological(case: str, machine: MachineSpec):
         op[:] = np.array([OpClass.IALU, OpClass.IMUL, OpClass.LOAD])[idx % 3]
         dst = src1 = np.ones(_N)
         load_extra[op == OpClass.LOAD] = machine.hierarchy.l2_latency
+    elif case.startswith("long-load-consumer-at-rob"):
+        # every instruction writes its own register; each memory-latency
+        # load's value is read by the instruction rob_size - 1, rob_size
+        # or rob_size + 1 later, the edge where a producer stops binding
+        dist = machine.rob_size + _ROB_EDGES[case]
+        loads = idx % 25 == 0
+        op[loads] = int(OpClass.LOAD)
+        load_extra[loads] = memory
+        long_miss[loads] = True
+        dst = idx + 1
+        src1 = np.where((idx >= dist) & loads[idx - dist], idx - dist + 1,
+                        NO_REG)
+    elif case == "same-cycle-ready-burst":
+        # groups of one memory-latency load and 2 * width + 1 readers of
+        # its value: the readers become ready in the same cycle, so issue
+        # must skip the full cycles that follow
+        group = idx % (2 * machine.width + 2)
+        loads = group == 0
+        op[loads] = int(OpClass.LOAD)
+        load_extra[loads] = memory
+        long_miss[loads] = True
+        dst = np.where(loads, 1, group + 1)
+        src1 = np.where(loads, NO_REG, 1)
     elif case != "no-dependences":
         raise ValueError(case)
     trace = Trace(pc=0x1000 + 4 * idx, opclass=op, dst=dst, src1=src1,
@@ -182,7 +211,8 @@ def _pathological(case: str, machine: MachineSpec):
 @pytest.mark.parametrize("machine", CONFIGS, ids=("baseline", "cramped"))
 @pytest.mark.parametrize("case", ("all-mispredicted", "all-long-loads",
                                   "imiss-every-line", "one-chain",
-                                  "no-dependences"))
+                                  "no-dependences", *_ROB_EDGES,
+                                  "same-cycle-ready-burst"))
 def test_engines_agree_on_pathological_traces(case, machine):
     trace, annotations = _pathological(case, machine)
     sims = {engine: DetailedSimulator(machine, engine=engine, telemetry=True)

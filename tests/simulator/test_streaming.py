@@ -91,6 +91,34 @@ def test_streaming_telemetry_matches_in_memory():
     assert t_got.report == t_ref.report
 
 
+def test_register_renaming_runs_once_per_instruction(monkeypatch):
+    """The in-memory path reads the trace's memoized dependences, so a
+    machine sweep over one trace renames it once; a chunk stream is
+    renamed by the engine alone, chunk by chunk."""
+    from dataclasses import replace
+
+    from repro.simulator.processor import DetailedSimulator
+    from repro.trace.trace import StreamingRenamer
+
+    renamed: list[int] = []
+    original = StreamingRenamer.rename_chunk
+
+    def counting(self, chunk):
+        renamed.append(len(chunk))
+        return original(self, chunk)
+
+    monkeypatch.setattr(StreamingRenamer, "rename_chunk", counting)
+    trace = generate_trace("gzip", 2_000)
+    annotations = DetailedSimulator(BASELINE).annotate(trace)
+    for width in (2, 4):
+        DetailedSimulator(replace(BASELINE, width=width)).run(trace,
+                                                              annotations)
+    assert renamed == [2_000]
+    renamed.clear()
+    simulate_stream(_stream("gzip", 2_000, 500), BASELINE)
+    assert renamed == [500] * 4
+
+
 def test_streaming_warmup_passes_match():
     cfg = BASELINE
     trace = generate_trace("gcc", 5_000)

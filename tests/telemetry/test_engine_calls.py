@@ -1,7 +1,7 @@
-"""Stall telemetry stays cheap in the fast engine: its per-cycle work
-lives in the engine's local variables, so the calls it makes into the
-session and the timeline recorder scale with events and intervals, not
-with cycles.  Counting calls catches a regression to per-cycle calls
+"""Stall telemetry stays cheap in the fast engine: it derives its
+per-cycle quantities per block of instructions, so the calls it makes
+into the session and the timeline recorder scale with events and
+intervals, not with cycles.  Counting calls catches a regression to per-cycle calls
 without timing anything."""
 
 from __future__ import annotations
