@@ -35,10 +35,8 @@ from repro.telemetry import (
     MeasuredCPIStack,
     MetricsRegistry,
     Telemetry,
-    TelemetryConfig,
     TelemetryReport,
     metrics_registry,
-    telemetry_enabled,
 )
 from repro.trace import (
     Trace,
@@ -83,10 +81,8 @@ __all__ = [
     "MeasuredCPIStack",
     "MetricsRegistry",
     "Telemetry",
-    "TelemetryConfig",
     "TelemetryReport",
     "metrics_registry",
-    "telemetry_enabled",
     "Trace",
     "BenchmarkProfile",
     "SPECINT2000",

@@ -200,44 +200,57 @@ def cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
+def _simulate_spec(spec):
+    """Simulate the resolved spec, in memory or streamed as
+    ``spec.engine`` says, with the session ``spec.telemetry`` describes.
+
+    Returns ``(result, session)``; the session is ``None`` when the
+    spec's telemetry is disabled.  Unlike the runner's paths, this
+    bypasses the result cache, so the session always sees a real run.
+    """
+    from repro.obs import spans as _spans
+    from repro.simulator.processor import resolve_telemetry
+
+    workload = spec.workload
+    tele = resolve_telemetry(spec.telemetry)
+    opt_in = tele if tele is not None else False
+    if spec.engine.stream:
+        from repro.runner import artifacts
+        from repro.simulator.streaming import simulate_stream
+        from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
+
+        stream = artifacts.trace_chunk_stream(
+            workload.benchmark, workload.length, workload.seed,
+            chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
+        result = simulate_stream(stream, spec.machine,
+                                 instrument=spec.engine.instrument,
+                                 telemetry=opt_in)
+    else:
+        with _spans.span("trace.generate", workload=workload.benchmark,
+                         length=workload.length):
+            trace = _workload_trace(workload)
+        sim = DetailedSimulator(spec.machine,
+                                instrument=spec.engine.instrument,
+                                telemetry=opt_in)
+        with _spans.span("sim.detailed", benchmark=workload.benchmark,
+                         length=workload.length):
+            result = sim.run(trace)
+    return result, tele
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _resolved_spec(args, benchmark=args.benchmark,
                           extra={"engine": {"instrument": True}})
     if _maybe_dump_spec(args, spec):
         return 0
     collecting = _obs_begin(spec)
-    workload = spec.workload
     # span() is the shared no-op unless _obs_begin just enabled
     # collection, so the uninstrumented path stays span-free
     from repro.obs import spans as _spans
 
-    with _spans.span("simulate", workload=workload.benchmark,
-                     length=workload.length):
-        if spec.engine.stream:
-            from repro.runner import artifacts
-            from repro.simulator.processor import resolve_telemetry
-            from repro.simulator.streaming import simulate_stream
-            from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
-
-            stream = artifacts.trace_chunk_stream(
-                workload.benchmark, workload.length, workload.seed,
-                chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
-            tele = resolve_telemetry(spec.telemetry)
-            result = simulate_stream(
-                stream, spec.machine,
-                instrument=spec.engine.instrument,
-                telemetry=tele if tele is not None else False)
-        else:
-            with _spans.span("trace.generate",
-                             workload=workload.benchmark,
-                             length=workload.length):
-                trace = _workload_trace(workload)
-            sim = DetailedSimulator.from_spec(spec)
-            with _spans.span("sim.detailed",
-                             benchmark=workload.benchmark,
-                             length=workload.length):
-                result = sim.run(trace)
-            tele = sim.last_telemetry  # set when REPRO_TELEMETRY was
+    with _spans.span("simulate", workload=spec.workload.benchmark,
+                     length=spec.workload.length):
+        result, tele = _simulate_spec(spec)
     if collecting:
         _obs_finish(spec)
     print(f"{args.benchmark}: {result.instructions} instructions in "
@@ -553,22 +566,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         if _maybe_dump_spec(args, spec):
             return 0
     # with an output file the manifest gains a wallclock section, so
-    # collect spans for the duration of the run to attribute the time
-    collecting = False
-    if args.output:
-        from repro.obs import spans as _spans
+    # collect spans for the duration of the run to attribute the time;
+    # without one, span() is the shared no-op
+    from repro.obs import spans as _spans
 
-        collecting = True
+    if args.output:
         _spans.enable(True)
         _spans.reset()
     start = time.perf_counter()
-    if collecting:
-        with _spans.span("report"):
-            report = run_all(
-                progress=lambda name: print(f"running {name} ..."),
-                workload=spec.workload if spec is not None else None,
-            )
-    else:
+    with _spans.span("report"):
         report = run_all(
             progress=lambda name: print(f"running {name} ..."),
             workload=spec.workload if spec is not None else None,
@@ -600,8 +606,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.telemetry.session import Telemetry
-
     telemetry_overrides: dict = {"enabled": True, "timeline": True}
     if args.interval is not None:
         telemetry_overrides["interval"] = args.interval
@@ -611,22 +615,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
                           extra={"telemetry": telemetry_overrides})
     if _maybe_dump_spec(args, spec):
         return 0
-    workload = spec.workload
-    tconfig = spec.telemetry.to_config()
-    tele = Telemetry(tconfig)
-    if spec.engine.stream:
-        from repro.runner import artifacts
-        from repro.simulator.streaming import simulate_stream
-        from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
-
-        stream = artifacts.trace_chunk_stream(
-            workload.benchmark, workload.length, workload.seed,
-            chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
-        result = simulate_stream(stream, spec.machine, telemetry=tele)
-    else:
-        trace = _workload_trace(workload)
-        sim = DetailedSimulator(spec.machine, telemetry=tele)
-        result = sim.run(trace)
+    result, tele = _simulate_spec(spec)
     report = tele.report
     timeline = report.timeline
     # the rollup recorder may have coarsened past the configured
@@ -681,9 +670,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("profile needs a benchmark (or --from-jsonl PATH)",
               file=sys.stderr)
         return 2
+    obs = {"enabled": True}
+    if args.jsonl:
+        obs["trace_path"] = args.jsonl
+    if args.chrome:
+        obs["chrome_path"] = args.chrome
     spec = _resolved_spec(args, benchmark=args.benchmark,
                           extra={"engine": {"instrument": True},
-                                 "obs": {"enabled": True}})
+                                 "obs": obs})
     if _maybe_dump_spec(args, spec):
         return 0
     _spans.enable(True)
@@ -697,16 +691,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"{result.cycles} cycles")
     print()
     print(format_profile(spans))
-    if args.jsonl:
-        from repro.obs import write_jsonl
-
-        write_jsonl(spans, args.jsonl)
-        print(f"wrote {args.jsonl}")
-    if args.chrome:
-        from repro.obs import write_chrome
-
-        write_chrome(spans, args.chrome)
-        print(f"wrote {args.chrome}")
     return 0
 
 

@@ -25,8 +25,8 @@ from repro.experiments.common import (
     workload_for,
 )
 from repro.simulator.processor import DetailedSimulator
+from repro.spec import env as _env
 from repro.telemetry.accountant import MeasuredCPIStack, render_side_by_side
-from repro.telemetry.session import telemetry_enabled
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def run(
     measured stack reported alongside the model's.
     """
     if measured is None:
-        measured = telemetry_enabled()
+        measured = _env.telemetry_overrides().get("enabled", False)
     model = FirstOrderModel(config)
     stacks = []
     measured_stacks = []
@@ -157,7 +157,8 @@ def run(
         trace = cached_trace(workload_for(workload, name, trace_length))
         stacks.append(model.evaluate_trace(trace).stack())
         if measured:
-            sim = DetailedSimulator(config, telemetry=True)
+            sim = DetailedSimulator(config, instrument=False,
+                                    telemetry=True)
             sim.run(trace)
             measured_stacks.append(sim.last_telemetry.report.stack)
     return StackResult(

@@ -61,7 +61,9 @@ from repro.telemetry.accountant import (
     CLS_ROB_FULL,
     CLS_WINDOW_FULL,
 )
-from repro.telemetry.session import Telemetry, TelemetryConfig
+from repro.spec import env as _env
+from repro.spec.specs import TelemetrySpec
+from repro.telemetry.session import Telemetry
 from repro.trace.trace import Trace
 
 import numpy as np
@@ -72,25 +74,28 @@ _log = logging.getLogger(__name__)
 def resolve_telemetry(t) -> Telemetry | None:
     """Resolve a telemetry opt-in value to a session (or ``None``).
 
-    ``None`` defers to ``REPRO_TELEMETRY``; ``False`` disables;
-    ``True``/a :class:`TelemetryConfig`/a :class:`repro.spec.TelemetrySpec`
-    collects with (those) defaults; a :class:`Telemetry` session collects
+    ``None`` defers to the ``REPRO_TELEMETRY*`` environment (resolved to
+    a :class:`TelemetrySpec`, so a bad value raises
+    :class:`~repro.spec.SpecError` as it does under
+    :func:`~repro.spec.resolve_spec`); ``False`` disables; ``True``
+    collects with the defaults; a :class:`TelemetrySpec` collects what it
+    describes when ``enabled``; a :class:`Telemetry` session collects
     into it.  Shared by :class:`DetailedSimulator` and the streaming
     engine (:mod:`repro.simulator.streaming`).
     """
     if t is None:
-        config = TelemetryConfig.from_env()
-        return Telemetry(config) if config is not None else None
+        t = TelemetrySpec(**_env.telemetry_overrides())
     if t is False:
         return None
     if t is True:
         return Telemetry()
+    if isinstance(t, TelemetrySpec):
+        return Telemetry(t) if t.enabled else None
     if isinstance(t, Telemetry):
         return t
-    if hasattr(t, "to_config"):  # a repro.spec.TelemetrySpec
-        config = t.to_config()
-        return Telemetry(config) if config is not None else None
-    return Telemetry(t)
+    raise TypeError(
+        "telemetry must be None, a bool, a TelemetrySpec or a Telemetry "
+        f"session, not {type(t).__name__}")
 
 
 class DetailedSimulator:
@@ -115,11 +120,11 @@ class DetailedSimulator:
         self.instrument = instrument
         #: one of :data:`repro.frontend.collector.ENGINES`
         self.engine = check_engine(engine)
-        #: telemetry opt-in: ``None`` defers to ``REPRO_TELEMETRY``,
-        #: ``True``/a :class:`TelemetryConfig`/a
-        #: :class:`repro.spec.TelemetrySpec` collects with (those)
-        #: defaults, a :class:`Telemetry` session collects into it,
-        #: ``False`` disables regardless of the environment
+        #: telemetry opt-in, as :func:`resolve_telemetry` reads it:
+        #: ``None`` defers to ``REPRO_TELEMETRY*``, ``True`` or an
+        #: enabled :class:`TelemetrySpec` collects, a :class:`Telemetry`
+        #: session collects into it, ``False`` disables regardless of
+        #: the environment
         self.telemetry = telemetry
         #: the session of the most recent :meth:`run` (``None`` when
         #: telemetry was off); its ``report`` holds the measurements
@@ -423,8 +428,8 @@ def simulate(
     """Convenience wrapper around :class:`DetailedSimulator`.
 
     Pass ``telemetry=`` a :class:`~repro.telemetry.Telemetry` session (or
-    ``True``/a :class:`~repro.telemetry.TelemetryConfig`) to measure the
-    run; read the session's ``report`` afterwards.
+    ``True``/an enabled :class:`~repro.spec.TelemetrySpec`) to measure
+    the run; read the session's ``report`` afterwards.
     """
     return DetailedSimulator(
         config, instrument, engine=engine, telemetry=telemetry

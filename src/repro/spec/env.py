@@ -86,56 +86,36 @@ def cache_dir() -> Path:
 # -- telemetry ---------------------------------------------------------------
 
 
-def telemetry_flag() -> bool:
-    """``REPRO_TELEMETRY`` — enabled unless unset, empty or ``0``."""
-    flag = (_get("REPRO_TELEMETRY") or "").strip()
-    return bool(flag) and flag != "0"
-
-
-def telemetry_interval() -> int:
-    return int(_get("REPRO_TELEMETRY_INTERVAL") or "1000")
-
-
-def telemetry_trace_path() -> str | None:
-    return _get("REPRO_TELEMETRY_TRACE") or None
-
-
-def telemetry_chrome_path() -> str | None:
-    return _get("REPRO_TELEMETRY_CHROME") or None
-
-
-def telemetry_sample_rate() -> float:
-    return float(_get("REPRO_TELEMETRY_SAMPLE") or "1")
-
-
-def telemetry_seed() -> int:
-    return int(_get("REPRO_TELEMETRY_SEED") or "0")
-
-
 def telemetry_overrides() -> dict:
-    """The TelemetrySpec fields the environment explicitly sets.
+    """The TelemetrySpec fields the ``REPRO_TELEMETRY*`` variables set.
 
-    Only variables actually present contribute, so spec-file and CLI
-    layers keep their values for everything the environment is silent
-    about (:func:`repro.spec.resolve.resolve_spec`'s precedence).
+    The one reader of those variables.  Only variables actually present
+    contribute, so spec-file and CLI layers keep their values for
+    everything the environment is silent about
+    (:func:`repro.spec.resolve.resolve_spec`'s precedence).
+    ``REPRO_TELEMETRY`` enables unless empty or ``0``; a numeric
+    variable set to the empty string stands for its default.
     """
     out: dict = {}
-    if _get("REPRO_TELEMETRY") is not None:
-        out["enabled"] = telemetry_flag()
-    if _get("REPRO_TELEMETRY_INTERVAL") is not None:
-        out["interval"] = telemetry_interval()
-    trace_path = telemetry_trace_path()
-    chrome_path = telemetry_chrome_path()
+    flag = _get("REPRO_TELEMETRY")
+    if flag is not None:
+        flag = flag.strip()
+        out["enabled"] = bool(flag) and flag != "0"
+    interval = _get("REPRO_TELEMETRY_INTERVAL")
+    if interval is not None:
+        out["interval"] = int(interval or "1000")
+    trace_path = _get("REPRO_TELEMETRY_TRACE")
     if trace_path:
         out["trace_path"] = trace_path
+    chrome_path = _get("REPRO_TELEMETRY_CHROME")
     if chrome_path:
         out["chrome_path"] = chrome_path
-    if trace_path or chrome_path:
-        out["events"] = True
-    if _get("REPRO_TELEMETRY_SAMPLE") is not None:
-        out["sample_rate"] = telemetry_sample_rate()
-    if _get("REPRO_TELEMETRY_SEED") is not None:
-        out["seed"] = telemetry_seed()
+    sample_rate = _get("REPRO_TELEMETRY_SAMPLE")
+    if sample_rate is not None:
+        out["sample_rate"] = float(sample_rate or "1")
+    seed = _get("REPRO_TELEMETRY_SEED")
+    if seed is not None:
+        out["seed"] = int(seed or "0")
     return out
 
 
@@ -159,8 +139,8 @@ def obs_chrome_path() -> str | None:
 def obs_overrides() -> dict:
     """The ObsSpec fields the environment explicitly sets.
 
-    Mirrors :func:`telemetry_overrides`: only variables actually present
-    contribute, and an export path implies collection.
+    Like :func:`telemetry_overrides`, only variables actually present
+    contribute; an export path implies collection.
     """
     out: dict = {}
     if _get("REPRO_OBS") is not None:

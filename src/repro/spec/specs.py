@@ -195,8 +195,13 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class TelemetrySpec:
-    """What a run should measure, mirroring
-    :class:`repro.telemetry.session.TelemetryConfig`.
+    """What a run should measure: the one description of a telemetry
+    session (:class:`repro.telemetry.session.Telemetry` reads it).
+
+    ``enabled`` decides whether a run attaches a session at all; the
+    other fields shape the session.  Naming an export path implies an
+    event trace, so ``events`` is true whenever ``trace_path`` or
+    ``chrome_path`` is set.
 
     Telemetry only observes — disabled telemetry is zero-cost and
     enabled telemetry is bit-identical (both enforced by tests) — so no
@@ -217,6 +222,8 @@ class TelemetrySpec:
     max_timeline_rows: int | None = None
 
     def __post_init__(self) -> None:
+        if self.trace_path or self.chrome_path:
+            object.__setattr__(self, "events", True)
         if self.interval < 1:
             raise SpecError("telemetry interval must be >= 1 cycle")
         if not (0.0 < self.sample_rate <= 1.0):
@@ -227,24 +234,6 @@ class TelemetrySpec:
                 or self.max_timeline_rows < 2):
             raise SpecError("max_timeline_rows must be an integer >= 2 "
                             "or null")
-
-    def to_config(self):
-        """A :class:`TelemetryConfig` when enabled, else ``None``."""
-        if not self.enabled:
-            return None
-        from repro.telemetry.session import TelemetryConfig
-
-        return TelemetryConfig(
-            interval=self.interval,
-            timeline=self.timeline,
-            events=self.events or bool(self.trace_path or self.chrome_path),
-            trace_path=self.trace_path,
-            chrome_path=self.chrome_path,
-            sample_rate=self.sample_rate,
-            seed=self.seed,
-            event_limit=self.event_limit,
-            max_timeline_rows=self.max_timeline_rows,
-        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "TelemetrySpec":

@@ -23,7 +23,7 @@ artifact:
   records next to experiment outputs;
 * :mod:`repro.telemetry.session` — the per-run
   :class:`~repro.telemetry.session.Telemetry` object the engines report
-  into, and the ``REPRO_TELEMETRY`` environment knobs.
+  into, shaped by a :class:`repro.spec.TelemetrySpec`.
 
 Telemetry is opt-in and zero-cost when off: without a session attached
 the engines skip every collection site, and with one attached they only
@@ -57,13 +57,7 @@ from repro.telemetry.metrics import (
     metrics_registry,
     reset_metrics,
 )
-from repro.telemetry.session import (
-    Telemetry,
-    TelemetryConfig,
-    TelemetryReport,
-    telemetry_enabled,
-    telemetry_from_env,
-)
+from repro.telemetry.session import Telemetry, TelemetryReport
 from repro.telemetry.rollup import RollupTimelineRecorder
 from repro.telemetry.timeline import IntervalTimeline, TimelineRecorder
 
@@ -92,10 +86,7 @@ __all__ = [
     "metrics_registry",
     "reset_metrics",
     "Telemetry",
-    "TelemetryConfig",
     "TelemetryReport",
-    "telemetry_enabled",
-    "telemetry_from_env",
     "IntervalTimeline",
     "RollupTimelineRecorder",
     "TimelineRecorder",

@@ -9,19 +9,11 @@ with a session attached, the engines only *read* machine state, so the
 simulated cycle count is unchanged either way (the equivalence suite
 asserts both properties).
 
-Enable it per call (``DetailedSimulator(..., telemetry=...)``) or
-globally via the environment:
-
-``REPRO_TELEMETRY``
-    any non-empty value except ``0`` attaches a session to every run
-    (accountant + timeline).
-``REPRO_TELEMETRY_INTERVAL``
-    timeline interval length in cycles (default 1000).
-``REPRO_TELEMETRY_TRACE`` / ``REPRO_TELEMETRY_CHROME``
-    also capture an event trace, and on :meth:`Telemetry.finish` write
-    it to these paths (JSONL / Chrome ``trace_event``).
-``REPRO_TELEMETRY_SAMPLE`` / ``REPRO_TELEMETRY_SEED``
-    event-trace sampling rate in ``(0, 1]`` and its RNG seed.
+Enable it per call (``DetailedSimulator(..., telemetry=...)``), in the
+``telemetry`` section of a :class:`repro.spec.RunSpec`, or globally via
+the ``REPRO_TELEMETRY*`` environment variables (listed in
+docs/CONFIGURATION.md).  A :class:`repro.spec.TelemetrySpec` describes
+what a session collects.
 """
 
 from __future__ import annotations
@@ -29,8 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from repro.spec import env as _env
-
+from repro.spec.specs import TelemetrySpec
 from repro.telemetry.accountant import (
     CLS_BASE,
     STALL_CLASSES,
@@ -43,55 +34,6 @@ from repro.telemetry.timeline import IntervalTimeline, TimelineRecorder
 _log = logging.getLogger(__name__)
 
 _CLASS_COUNT = len(STALL_CLASSES)
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """What a telemetry session should collect and where it should go."""
-
-    interval: int = 1000
-    timeline: bool = True
-    events: bool = False
-    trace_path: str | None = None
-    chrome_path: str | None = None
-    sample_rate: float = 1.0
-    seed: int = 0
-    event_limit: int | None = None
-    #: cap timeline storage via hierarchical rollup (``None`` = unbounded)
-    max_timeline_rows: int | None = None
-
-    @classmethod
-    def from_env(cls) -> "TelemetryConfig | None":
-        """The configuration selected by ``REPRO_TELEMETRY*``.
-
-        Returns ``None`` when telemetry is not enabled (the variable is
-        unset, empty or ``0``).  Reads go through the
-        :mod:`repro.spec.env` registry; prefer resolving a
-        :class:`repro.spec.TelemetrySpec` where a full spec is in play.
-        """
-        if not _env.telemetry_flag():
-            return None
-        trace_path = _env.telemetry_trace_path()
-        chrome_path = _env.telemetry_chrome_path()
-        return cls(
-            interval=_env.telemetry_interval(),
-            events=bool(trace_path or chrome_path),
-            trace_path=trace_path,
-            chrome_path=chrome_path,
-            sample_rate=_env.telemetry_sample_rate(),
-            seed=_env.telemetry_seed(),
-        )
-
-
-def telemetry_enabled() -> bool:
-    """Whether ``REPRO_TELEMETRY`` opts runs into telemetry."""
-    return TelemetryConfig.from_env() is not None
-
-
-def telemetry_from_env() -> "Telemetry | None":
-    """A fresh session per the environment, or ``None`` when disabled."""
-    config = TelemetryConfig.from_env()
-    return Telemetry(config) if config is not None else None
 
 
 @dataclass(frozen=True)
@@ -112,28 +54,24 @@ class Telemetry:
     trace is attached, and otherwise adds to :attr:`counts` in place and
     flushes per-interval sums to the recorder.  :meth:`finish` seals the
     session into a :class:`TelemetryReport`.  A session is single-use:
-    attach a fresh one per run.
+    attach a fresh one per run.  It collects what ``spec`` describes;
+    ``spec.enabled`` only decides whether a run attaches one.
     """
 
-    def __init__(self, config: TelemetryConfig | None = None):
-        self.config = config or TelemetryConfig()
+    def __init__(self, spec: TelemetrySpec = TelemetrySpec()):
+        self.spec = spec
         self.counts = [0] * _CLASS_COUNT
-        if not self.config.timeline:
+        if not spec.timeline:
             self.recorder = None
-        elif self.config.max_timeline_rows is not None:
+        elif spec.max_timeline_rows is not None:
             self.recorder = RollupTimelineRecorder(
-                self.config.interval,
-                max_rows=self.config.max_timeline_rows,
-            )
+                spec.interval, max_rows=spec.max_timeline_rows)
         else:
-            self.recorder = TimelineRecorder(self.config.interval)
+            self.recorder = TimelineRecorder(spec.interval)
         self.events = (
-            EventTrace(
-                sample_rate=self.config.sample_rate,
-                seed=self.config.seed,
-                limit=self.config.event_limit,
-            )
-            if self.config.events else None
+            EventTrace(sample_rate=spec.sample_rate, seed=spec.seed,
+                       limit=spec.event_limit)
+            if spec.events else None
         )
         self.report: TelemetryReport | None = None
         #: open dispatch-stall run (class code, start cycle, end cycle)
@@ -237,12 +175,12 @@ class Telemetry:
             stack=stack, timeline=timeline, events=self.events
         )
         if self.events is not None:
-            if self.config.trace_path:
-                path = self.events.write_jsonl(self.config.trace_path)
+            if self.spec.trace_path:
+                path = self.events.write_jsonl(self.spec.trace_path)
                 _log.info("wrote %d trace events to %s",
                           len(self.events), path)
-            if self.config.chrome_path:
-                path = self.events.write_chrome(self.config.chrome_path)
+            if self.spec.chrome_path:
+                path = self.events.write_chrome(self.spec.chrome_path)
                 _log.info("wrote Chrome trace to %s", path)
         _log.debug(
             "telemetry: %s — measured CPI %.4f over %d intervals",

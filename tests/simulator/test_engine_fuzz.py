@@ -30,7 +30,8 @@ from repro.isa.opclass import OpClass
 from repro.simulator import streaming
 from repro.simulator.processor import DetailedSimulator
 from repro.simulator.streaming import simulate_stream
-from repro.telemetry.session import Telemetry, TelemetryConfig
+from repro.spec import TelemetrySpec
+from repro.telemetry.session import Telemetry
 from repro.trace.chunks import TraceChunkStream
 from repro.trace.profiles import BENCHMARK_ORDER
 from repro.trace.synthetic import generate_trace
@@ -112,9 +113,9 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
     assert_equivalent(streamed, ref)
     # the fast engine charges class counts in place without an event
     # trace and through the session with one: draw a session of each
-    configs = (TelemetryConfig(interval=interval),
-               TelemetryConfig(interval=interval, events=True,
-                               max_timeline_rows=max_rows))
+    configs = (TelemetrySpec(interval=interval),
+               TelemetrySpec(interval=interval, events=True,
+                             max_timeline_rows=max_rows))
     for config in configs:
         sessions = [Telemetry(config) for _ in range(3)]
         ref_sim = DetailedSimulator(machine, engine="reference",

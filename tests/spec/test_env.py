@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.spec import env
+from repro.spec import TelemetrySpec, env
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -67,7 +67,8 @@ class TestAccessors:
                                              "interval": 250}
         monkeypatch.setenv("REPRO_TELEMETRY_TRACE", "/tmp/t.jsonl")
         overrides = env.telemetry_overrides()
-        assert overrides["events"] is True
+        # the spec applies "an export path implies events"
+        assert TelemetrySpec(**overrides).events is True
         assert overrides["trace_path"] == "/tmp/t.jsonl"
 
     def test_repro_environment_echoes_set_variables(self, monkeypatch):

@@ -69,7 +69,7 @@ class TestChrome:
     def test_document_is_valid_json_with_required_keys(self, tmp_path):
         trace = populated_trace()
         path = trace.write_chrome(tmp_path / "trace.json")
-        doc = json.load(open(path))
+        doc = json.loads(path.read_text())
         assert "traceEvents" in doc
         assert doc["otherData"]["emitted"] == trace.emitted
 

@@ -16,8 +16,9 @@ import random
 
 import pytest
 
+from repro.spec import TelemetrySpec
 from repro.telemetry.rollup import RollupTimelineRecorder
-from repro.telemetry.session import Telemetry, TelemetryConfig
+from repro.telemetry.session import Telemetry
 from repro.telemetry.timeline import EVENT_FIELDS, TimelineRecorder
 
 
@@ -115,8 +116,8 @@ class TestStreamingTotals:
         from repro.runner import artifacts
         from repro.simulator.streaming import simulate_stream
 
-        tele = Telemetry(TelemetryConfig(interval=500,
-                                         max_timeline_rows=16))
+        tele = Telemetry(TelemetrySpec(interval=500,
+                                       max_timeline_rows=16))
         stream = artifacts.trace_chunk_stream(
             "gzip", self.LENGTH, chunk_size=chunk_size)
         result = simulate_stream(stream, telemetry=tele)
@@ -126,7 +127,7 @@ class TestStreamingTotals:
         from repro.simulator.processor import DetailedSimulator
         from repro.trace.synthetic import generate_trace
 
-        tele = Telemetry(TelemetryConfig(interval=500))
+        tele = Telemetry(TelemetrySpec(interval=500))
         sim = DetailedSimulator(telemetry=tele)
         result = sim.run(generate_trace("gzip", self.LENGTH))
         return result, tele.report.timeline

@@ -185,10 +185,14 @@ class TestCommands:
         doc = json.loads(out[out.index("{"):])
         assert doc["runner.units"]["type"] == "counter"
 
+    @pytest.mark.parametrize(
+        "engine_args", [[], ["--stream", "--chunk-size", "1000"]],
+        ids=["in-memory", "stream"])
     def test_simulate_prints_measured_stack_with_telemetry(
-            self, capsys, monkeypatch):
+            self, capsys, monkeypatch, engine_args):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert main(["simulate", "gzip", "--length", "3000"]) == 0
+        assert main(["simulate", "gzip", "--length", "3000",
+                     *engine_args]) == 0
         out = capsys.readouterr().out
         assert "measured CPI" in out and "Base (dispatching)" in out
 
