@@ -15,11 +15,21 @@ trace) is held to the same budget and growth limit: the engine derives
 the stall classes and the timeline block by block, so that state is
 O(chunk) too.
 
-A last case generates a profile the fast span decoder declines (three
-data streams, not a power of two), so the generator's walk over the
-PCG64 tape emits every instruction, and requires the same flat peak at
-50k and 200k instructions: the walk's tape window must not grow with
+A walk-only case generates a profile the fast span decoder declines
+(three data streams, not a power of two), so the generator's walk over
+the PCG64 tape emits every instruction, and requires the same flat peak
+at 50k and 200k instructions: the walk's tape window must not grow with
 the trace.
+
+The last case runs the shared-L2 co-run pass
+(:func:`repro.corun.contention.run_contended_pass`) over two streamed
+workloads at 50k and 200k instructions each.  That pass is not O(chunk):
+its documented bound is one pass's L1-miss references plus the
+O(length) annotations of the recording pass.  The guard measures both
+terms from each run (the recording pass's L2 references and the
+annotation arrays' bytes) and holds the peak to a budget built from
+them, and the peak's growth between the runs to the growth of the two
+terms.
 
 Usage::
 
@@ -35,6 +45,9 @@ import tracemalloc
 from dataclasses import replace
 
 from repro.config import BASELINE
+from repro.corun.contention import run_contended_pass
+from repro.corun.interleave import interleave_order
+from repro.frontend.collector import CollectorConfig
 from repro.simulator.streaming import simulate_stream
 from repro.telemetry.session import Telemetry
 from repro.trace._fastcore import _FastCore
@@ -51,6 +64,16 @@ from repro.trace.vectorgen import (
 #: in the short run, so both runs hold a full chunk at their peak)
 WALK_LENGTHS = (50_000, 200_000)
 WALK_CHUNK = 1 << 14
+
+#: the co-run case: workloads, per-workload lengths and chunk size
+#: (many chunks, so the references and annotations dominate the peak)
+CORUN_WORKLOADS = ("gzip", "mcf")
+CORUN_LENGTHS = (50_000, 200_000)
+CORUN_CHUNK = 1 << 11
+#: allowed bytes per L1-miss reference held by a co-run pass: four list
+#: entries and their int objects in the private sweep, then the int64
+#: merge columns and the re-listed L2 sets and tags (about 175 measured)
+REF_BYTES = 256
 
 
 def traced_peak(fn):
@@ -93,6 +116,57 @@ def walk_guard(benchmark: str, budget_chunks: float,
     if growth > growth_limit:
         print("FAIL: walk-only generation grows with trace length — the "
               "tape window is no longer bounded", file=sys.stderr)
+        return False
+    return True
+
+
+def corun_guard(budget_chunks: float) -> bool:
+    """The streamed co-run pass holds one pass's L1-miss references
+    plus its annotations, and O(chunk) besides."""
+    probe = next(iter(ChunkedTraceGenerator(get_profile("gzip"))
+                      .chunks(CORUN_CHUNK, chunk_size=CORUN_CHUNK)))
+    allowance = budget_chunks * chunk_layout(probe)["payload_bytes"]
+    config = CollectorConfig.of(BASELINE)
+
+    def run(length):
+        sources = [lambda b=b: stream_chunks(b, length,
+                                             chunk_size=CORUN_CHUNK)
+                   for b in CORUN_WORKLOADS]
+        lengths = [length] * len(sources)
+        result, peak = traced_peak(lambda: run_contended_pass(
+            sources, lengths, interleave_order(lengths), config))
+        refs = result.shared_l2_accesses
+        annotations = sum(
+            column.nbytes for w in result.workloads
+            for column in vars(w.tallies.annotations).values())
+        return peak, refs, annotations
+
+    (short_peak, short_refs, short_ann), (peak, refs, ann) = (
+        run(n) for n in CORUN_LENGTHS)
+    budget = allowance + refs * REF_BYTES + ann
+    growth = peak - short_peak
+    growth_limit = (refs - short_refs) * REF_BYTES + ann - short_ann
+    mib = 2 ** 20
+    print(f"co-run peak      {peak / mib:.2f} MiB at {CORUN_LENGTHS[1]:,} "
+          f"instructions each, {short_peak / mib:.2f} MiB at "
+          f"{CORUN_LENGTHS[0]:,} ({' + '.join(CORUN_WORKLOADS)}, "
+          f"{CORUN_CHUNK:,}-instruction chunks)")
+    print(f"  L1-miss refs   {refs:,} (short run {short_refs:,}); "
+          f"annotations {ann / mib:.2f} MiB (short run "
+          f"{short_ann / mib:.2f} MiB)")
+    print(f"  budget         {budget / mib:.2f} MiB = "
+          f"{allowance / mib:.2f} MiB O(chunk) + {refs:,} refs x "
+          f"{REF_BYTES} B + annotations")
+    print(f"  peak growth    {growth / mib:.2f} MiB "
+          f"(limit {growth_limit / mib:.2f} MiB from the two terms)")
+    if peak > budget:
+        print("FAIL: the co-run pass exceeds its references-plus-"
+              "annotations budget", file=sys.stderr)
+        return False
+    if growth > growth_limit:
+        print("FAIL: the co-run pass grows faster than its references and "
+              "annotations — an O(trace) allocation is back",
+              file=sys.stderr)
         return False
     return True
 
@@ -173,7 +247,10 @@ def main(argv=None) -> int:
     print(f"process max RSS  {rss_kib / 2**10:.1f} MiB")
     if not walk_guard(args.benchmark, args.budget_chunks, args.growth_limit):
         return 1
-    print("OK: peak memory is O(chunk)")
+    if not corun_guard(args.budget_chunks):
+        return 1
+    print("OK: peak memory is O(chunk); the co-run pass holds its "
+          "references and annotations")
     return 0
 
 

@@ -62,49 +62,51 @@ class GShare(BranchPredictor):
         outcome sequence, so per-branch histories and table indices are
         computed with array ops up front; only the pattern-table walk
         (whose counter updates feed later predictions at the same
-        index) remains a scalar loop, over plain Python ints.
-        Decision-for-decision identical to the sequential path.
+        index) remains a scalar loop, over plain Python ints, which
+        lists the mispredicted positions.  Decision-for-decision
+        identical to the sequential path.
         """
         takens = np.asarray(takens, dtype=bool)
-        pcs = np.asarray(pcs)
+        pcs = np.asarray(pcs, dtype=np.int64)
         n = len(takens)
         if len(pcs) != n:
             raise ValueError("pcs and takens must be the same length")
         if n == 0:
-            return np.zeros(0, dtype=bool)
+            return self._batch_result(0, [])
         bits = self.history_bits
         # ext[i] is the outcome (i - bits) steps into the batch; the
         # first `bits` entries replay the incoming history, oldest first
-        pre = np.array([(self._history >> (bits - 1 - i)) & 1
-                        for i in range(bits)], dtype=np.uint64)
-        ext = np.concatenate([pre, takens.astype(np.uint64)])
-        hist = np.zeros(n, dtype=np.uint64)
+        ext = np.empty(n + bits, dtype=np.int64)
+        ext[:bits] = [(self._history >> (bits - 1 - i)) & 1
+                      for i in range(bits)]
+        ext[bits:] = takens
+        hist = np.zeros(n, dtype=np.int64)
         for j in range(bits):
-            hist |= ext[bits - 1 - j:n + bits - 1 - j] << np.uint64(j)
-        shifted = pcs.astype(np.int64, copy=False).view(np.uint64)
-        idx = ((shifted >> np.uint64(2)) ^ hist) & np.uint64(self._index_mask)
+            hist |= ext[bits - 1 - j:n + bits - 1 - j] << j
+        idx = (((pcs >> 2) ^ hist) & self._index_mask).tolist()
+        taken_l = takens.tolist()
         table = self._table.tolist()
-        correct = np.empty(n, dtype=bool)
-        wrong = 0
-        for k, (i, taken) in enumerate(zip(idx.tolist(), takens.tolist())):
+        wrong: list[int] = []
+        miss = wrong.append
+        for k in range(n):
+            i = idx[k]
             counter = table[i]
-            if taken:
+            if taken_l[k]:
+                if counter < _WEAKLY_TAKEN:
+                    miss(k)
                 if counter < _MAX_COUNTER:
                     table[i] = counter + 1
-            elif counter > 0:
-                table[i] = counter - 1
-            ok = (counter >= _WEAKLY_TAKEN) == taken
-            correct[k] = ok
-            if not ok:
-                wrong += 1
-        self._table = np.asarray(table, dtype=np.int8)
-        history = self._history
-        for taken in takens[-bits:].tolist() if bits else ():
-            history = (history << 1) | int(taken)
-        self._history = history & self._history_mask
-        self.stats.predictions += n
-        self.stats.mispredictions += wrong
-        return correct
+            else:
+                if counter >= _WEAKLY_TAKEN:
+                    miss(k)
+                if counter:
+                    table[i] = counter - 1
+        # the counters are 0..3: packing them as bytes is far cheaper
+        # than numpy's per-element conversion of the list
+        self._table[:] = np.frombuffer(bytearray(table), dtype=np.int8)
+        self._history = (((int(hist[-1]) << 1) | taken_l[-1])
+                         & self._history_mask)
+        return self._batch_result(n, wrong)
 
     def _reset_state(self) -> None:
         self._table.fill(_WEAKLY_TAKEN)

@@ -83,17 +83,34 @@ class BranchPredictor(abc.ABC):
 
         ``pcs`` and ``takens`` are aligned arrays (one entry per
         conditional branch).  Returns a boolean array: True where the
-        prediction was correct.  The base implementation is the
-        sequential :meth:`observe` loop; subclasses may override with a
-        faster path, which must match it decision-for-decision.
+        prediction was correct.  The base implementation is
+        :meth:`observe`'s predict-then-train step in a loop over plain
+        Python values, so a subclass that overrides :meth:`observe`
+        overrides this too; subclasses may override with a faster path,
+        which must match it decision-for-decision.
         """
-        pcs = np.asarray(pcs)
-        takens = np.asarray(takens)
+        pcs = np.asarray(pcs, dtype=np.int64).tolist()
+        takens = np.asarray(takens, dtype=bool).tolist()
         if len(pcs) != len(takens):
             raise ValueError("pcs and takens must be the same length")
-        correct = np.empty(len(takens), dtype=bool)
+        predict, update = self._predict, self._update
+        wrong: list[int] = []
+        miss = wrong.append
         for k in range(len(takens)):
-            correct[k] = self.observe(int(pcs[k]), bool(takens[k]))
+            pc = pcs[k]
+            taken = takens[k]
+            if predict(pc) != taken:
+                miss(k)
+            update(pc, taken)
+        return self._batch_result(len(takens), wrong)
+
+    def _batch_result(self, n: int, wrong) -> np.ndarray:
+        """Count ``n`` predictions with the ``wrong`` positions
+        mispredicted, and return the per-branch correctness."""
+        self.stats.predictions += n
+        self.stats.mispredictions += len(wrong)
+        correct = np.ones(n, dtype=bool)
+        correct[wrong] = False
         return correct
 
     def run_trace(self, trace: Trace) -> np.ndarray:

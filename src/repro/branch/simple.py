@@ -73,6 +73,9 @@ class IdealPredictor(BranchPredictor):
         self.stats.predictions += 1
         return True
 
+    def observe_batch(self, pcs, takens) -> np.ndarray:
+        return self._batch_result(len(takens), [])
+
     def _predict(self, pc: int) -> bool:  # pragma: no cover - unused
         return True
 
@@ -87,6 +90,9 @@ class PessimalPredictor(BranchPredictor):
         self.stats.predictions += 1
         self.stats.mispredictions += 1
         return False
+
+    def observe_batch(self, pcs, takens) -> np.ndarray:
+        return self._batch_result(len(takens), range(len(takens)))
 
     def _predict(self, pc: int) -> bool:  # pragma: no cover - unused
         return True

@@ -281,7 +281,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         workload = spec.workload.with_benchmark(name)
         trace = _workload_trace(workload)
         report = model.evaluate_trace(trace)
-        sim = DetailedSimulator(spec.machine, instrument=False).run(trace)
+        sim = DetailedSimulator(spec.machine).run(trace)
         err = (report.cpi - sim.cpi) / sim.cpi
         errors.append(abs(err))
         print(f"{name:8s} {report.cpi:7.3f} {sim.cpi:7.3f} {err:+7.1%}")

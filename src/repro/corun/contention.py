@@ -16,12 +16,13 @@ Interference enters only at the L2
 The hierarchy is non-inclusive, so no L1 outcome depends on L2 state,
 and the L1s and predictors are private: each workload's L1 hits and
 misses and its branch outcomes under contention are exactly its solo
-ones.  Each pass therefore runs the fast pass's private sweeps
-(:func:`~repro.frontend.fastpass.sweep_l1`,
-:func:`~repro.frontend.fastpass.sweep_branches`) per workload, merges
-the workloads' L1-miss references on their interleave keys, replays the
-merge on the shared L2 in one :func:`~repro.frontend.fastpass.sweep_l2`
-and scatters the hit flags back to each workload's tallies.
+ones.  Each pass therefore walks every workload's chunks through the
+functional pass's one chunk driver
+(:meth:`repro.frontend.fastpass.PassDriver.private_pass`, the L1 and
+branch sweeps), merges the workloads' L1-miss references on their
+interleave keys, replays the merge on the shared L2 in one
+:func:`~repro.frontend.fastpass.sweep_l2` and scatters the hit flags
+back to each workload's tallies.
 
 Address disjointness
 --------------------
@@ -39,29 +40,27 @@ the validation experiment asserts.
 
 Memory behavior
 ---------------
-Trace chunks are consumed one at a time, but a pass holds every
-workload's L1-miss references until the shared-L2 replay, plus the
-O(length) per-instruction annotations of the recording pass.
+A streamed source's chunks are consumed one at a time, but a pass holds
+every workload's L1-miss references until the shared-L2 replay, plus
+the O(length) per-instruction annotations of the recording pass.  A
+materialized source (a :class:`~repro.trace.trace.Trace`) keeps its
+plan across passes, as the solo collector does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.branch.predictor import BranchPredictor
 from repro.config import BASELINE
 from repro.corun.interleave import InterleaveKey
 from repro.frontend.collector import CollectorConfig
 from repro.frontend.fastpass import (
-    FastPassPlan,
+    ChunkSource,
+    PassDriver,
     PassTallies,
-    PrivateSweep,
     settle_pass,
-    sweep_branches,
-    sweep_l1,
     sweep_l2,
 )
 from repro.memory.cache import Cache
@@ -74,9 +73,6 @@ __all__ = ["ADDRESS_OFFSET_BITS", "ContentionResult", "WorkloadContention",
 #: per-workload address-space offset (multiple of every cache size, so
 #: set indices — and therefore each workload's solo behavior — survive)
 ADDRESS_OFFSET_BITS = 44
-
-#: zero-arg factory yielding a fresh iterable of Trace chunks per pass
-ChunkSource = Callable[[], Iterable[Trace]]
 
 
 @dataclass
@@ -107,16 +103,16 @@ class ContentionResult:
 
 
 def run_contended_pass(
-    sources: list[ChunkSource],
+    sources: list[Trace | ChunkSource],
     lengths: list[int],
     order: InterleaveKey,
     config: CollectorConfig | None = None,
 ) -> ContentionResult:
     """Run the shared-L2 functional pass over a merged co-run.
 
-    ``sources[i]()`` must yield workload ``i``'s ``lengths[i]``
-    instructions as trace chunks from the start — it is called once per
-    warm-up pass and once for the recording pass.  ``order`` is the
+    ``sources[i]`` is workload ``i``'s ``lengths[i]`` instructions: its
+    trace, or a :data:`~repro.frontend.fastpass.ChunkSource` called once
+    per warm-up pass and once for the recording pass.  ``order`` is the
     interleave key (:func:`~repro.corun.interleave.interleave_order`);
     warm-up passes replay the same order, keeping cache and predictor
     state exactly as the solo collector does.
@@ -128,16 +124,16 @@ def run_contended_pass(
 
     l2 = cfg.hierarchy.l2
     shared = Cache(l2, "L2(shared)")
-    hierarchies = [CacheHierarchy(cfg.hierarchy, shared_l2=shared)
-                   for _ in range(n_work)]
-    predictors = [cfg.predictor_factory() for _ in range(n_work)]
+    drivers = [PassDriver(source, cfg,
+                          CacheHierarchy(cfg.hierarchy, shared_l2=shared),
+                          cfg.predictor_factory(), length=length,
+                          name=f"source {w}")
+               for w, (source, length) in enumerate(zip(sources, lengths))]
     tag_offsets = [(w << ADDRESS_OFFSET_BITS) // (l2.line_bytes * l2.num_sets)
                    for w in range(n_work)]
 
     def one_pass(annotate: bool) -> list[WorkloadContention]:
-        sweeps = [_private_pass(w, sources[w], lengths[w], cfg,
-                                hierarchies[w], predictors[w])
-                  for w in range(n_work)]
+        sweeps = [driver.private_pass() for driver in drivers]
         refs = [np.array(s.idx, dtype=np.int64) for s in sweeps]
         keys = np.concatenate([order(w, r) for w, r in enumerate(refs)])
         # stable: key ties keep workload order, then program order
@@ -171,25 +167,3 @@ def run_contended_pass(
         shared_l2_misses=shared.stats.misses - before_misses,
     )
 
-
-def _private_pass(w: int, source: ChunkSource, length: int,
-                  cfg: CollectorConfig, hierarchy: CacheHierarchy,
-                  predictor: BranchPredictor) -> PrivateSweep:
-    """Workload ``w``'s private L1 and branch sweeps over one pass of
-    its chunks, which must total exactly ``length`` instructions."""
-    sweep = PrivateSweep()
-    base = 0
-    last_line: int | None = None
-    for chunk in source():
-        if base + len(chunk) > length:
-            raise ValueError(f"source {w} served more than {length} "
-                             "instructions")
-        plan = FastPassPlan(chunk, cfg, prev_line=last_line)
-        sweep_l1(plan, hierarchy, sweep, base)
-        sweep_branches(plan, cfg, predictor, sweep, base)
-        base += len(chunk)
-        last_line = plan.last_line
-    if base != length:
-        raise ValueError(f"source {w} served {base} of {length} "
-                         "instructions")
-    return sweep

@@ -85,10 +85,9 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
                                      chunk_size=chunk_size).length
                   for w in workloads]
     else:
-        traces = [trace_artifact(w.benchmark, w.length, w.resolved_seed())
-                  for w in workloads]
-        sources = [(lambda t=t: iter((t,))) for t in traces]
-        served = [len(t) for t in traces]
+        sources = [trace_artifact(w.benchmark, w.length, w.resolved_seed())
+                   for w in workloads]
+        served = [len(t) for t in sources]
     for w, n in zip(workloads, served):
         # an ingest workload can serve fewer records than requested (the
         # stored trace is finite); the merge needs exact lengths
@@ -116,7 +115,7 @@ def _compute_corun(spec: CoRunSpec, stream: bool,
 
         # detailed co-run timing: the workload's own trace driven by its
         # contention-elevated annotations, with the telemetry accountant
-        sim = DetailedSimulator(machine, instrument=False, telemetry=True)
+        sim = DetailedSimulator(machine, telemetry=True)
         result = sim.run(trace, profile.annotations)
         assert sim.last_telemetry is not None
         stack = sim.last_telemetry.report.stack

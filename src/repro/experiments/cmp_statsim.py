@@ -104,8 +104,7 @@ def run(
     rows = []
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        detailed = DetailedSimulator(config.all_real(),
-                                     instrument=False).run(trace)
+        detailed = DetailedSimulator(config.all_real()).run(trace)
         statsim = statistical_simulate(trace, config, seed=seed)
         report = model.evaluate_trace(trace)
         rows.append(

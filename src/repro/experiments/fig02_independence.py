@@ -126,14 +126,11 @@ def run(
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
         n = len(trace)
-        ideal = DetailedSimulator(config.all_ideal(), instrument=False).run(trace)
-        real = DetailedSimulator(config.all_real(), instrument=False).run(trace)
-        bp = DetailedSimulator(config.only_real_predictor(),
-                               instrument=False).run(trace)
-        ic = DetailedSimulator(config.only_real_icache(),
-                               instrument=False).run(trace)
-        dc = DetailedSimulator(config.only_real_dcache(),
-                               instrument=False).run(trace)
+        ideal = DetailedSimulator(config.all_ideal()).run(trace)
+        real = DetailedSimulator(config.all_real()).run(trace)
+        bp = DetailedSimulator(config.only_real_predictor()).run(trace)
+        ic = DetailedSimulator(config.only_real_icache()).run(trace)
+        dc = DetailedSimulator(config.only_real_dcache()).run(trace)
 
         br_cycles = bp.cycles - ideal.cycles
         ic_cycles = ic.cycles - ideal.cycles

@@ -94,12 +94,8 @@ def run(
         mispredictions = 0
         for depth in depths:
             cfg = config.with_depth(depth)
-            real_bp = DetailedSimulator(
-                cfg.only_real_predictor(), instrument=False
-            ).run(trace)
-            ideal = DetailedSimulator(
-                cfg.all_ideal(), instrument=False
-            ).run(trace)
+            real_bp = DetailedSimulator(cfg.only_real_predictor()).run(trace)
+            ideal = DetailedSimulator(cfg.all_ideal()).run(trace)
             mispredictions = real_bp.misprediction_count
             if mispredictions == 0:
                 penalties[depth] = 0.0

@@ -100,12 +100,8 @@ def run(
         misses = 0
         for depth in depths:
             cfg = config.with_depth(depth)
-            real_ic = DetailedSimulator(
-                cfg.only_real_icache(), instrument=False
-            ).run(trace)
-            ideal = DetailedSimulator(
-                cfg.all_ideal(), instrument=False
-            ).run(trace)
+            real_ic = DetailedSimulator(cfg.only_real_icache()).run(trace)
+            ideal = DetailedSimulator(cfg.all_ideal()).run(trace)
             misses = real_ic.icache_short_count + real_ic.icache_long_count
             if misses == 0:
                 penalties[depth] = 0.0

@@ -121,7 +121,7 @@ def run(
     )
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        sim = DetailedSimulator(dcache_cfg, instrument=False)
+        sim = DetailedSimulator(dcache_cfg)
         annotations = sim.annotate(trace)
         real_dc = sim.run(trace, annotations)
         if real_dc.dcache_long_count < MIN_MISSES:

@@ -157,8 +157,7 @@ def run(
         trace = cached_trace(workload_for(workload, name, trace_length))
         stacks.append(model.evaluate_trace(trace).stack())
         if measured:
-            sim = DetailedSimulator(config, instrument=False,
-                                    telemetry=True)
+            sim = DetailedSimulator(config, telemetry=True)
             sim.run(trace)
             measured_stacks.append(sim.last_telemetry.report.stack)
     return StackResult(

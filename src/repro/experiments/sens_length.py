@@ -106,8 +106,7 @@ def run(
             report = model.evaluate_trace(trace)
             profile = model.profile(trace)
             fit = fit_curve(unit_iw_curve(trace))
-            sim = DetailedSimulator(config.all_real(),
-                                    instrument=False).run(trace)
+            sim = DetailedSimulator(config.all_real()).run(trace)
             rows.append(
                 LengthRow(
                     benchmark=name, length=length, beta=fit.beta,

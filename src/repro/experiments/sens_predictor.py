@@ -117,7 +117,7 @@ def run(
         for label, predictor in PREDICTORS:
             cfg = dataclasses.replace(config, predictor=predictor)
             report = FirstOrderModel(cfg).evaluate_trace(trace)
-            sim_machine = DetailedSimulator(cfg, instrument=False)
+            sim_machine = DetailedSimulator(cfg)
             annotations = sim_machine.annotate(trace)
             sim = sim_machine.run(trace, annotations)
             branches = int(trace.branches.sum())

@@ -141,7 +141,7 @@ def run(
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
         model_stack = model.evaluate_trace(trace).stack()
-        sim = DetailedSimulator(config, instrument=False, telemetry=True)
+        sim = DetailedSimulator(config, telemetry=True)
         sim.run(trace)
         rows.append(
             AdditivityRow(

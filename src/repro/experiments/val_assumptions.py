@@ -124,7 +124,8 @@ def run(
     rows = []
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        result = DetailedSimulator(config.all_real()).run(trace)
+        result = DetailedSimulator(config.all_real(),
+                                   instrument=True).run(trace)
         instr = result.instrumentation
         assert instr is not None
         rows.append(

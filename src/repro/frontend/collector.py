@@ -28,7 +28,7 @@ from repro.branch.predictor import BranchPredictor
 from repro.config import BASELINE, HierarchySpec, MachineSpec
 from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 from repro.frontend.events import EventAnnotations, MissEventProfile
-from repro.frontend.fastpass import FastPassPlan, run_fast_pass
+from repro.frontend.fastpass import PassDriver
 from repro.isa.opclass import OpClass
 from repro.trace.analysis import analyze_trace
 from repro.trace.trace import Trace
@@ -116,13 +116,8 @@ class MissEventCollector:
         predictor = cfg.predictor_factory()
 
         if self.engine == "fast":
-            plan = FastPassPlan(trace, cfg)
-            for _ in range(max(0, cfg.warmup_passes)):
-                run_fast_pass(plan, trace, cfg, hierarchy, predictor,
-                              record=False)
-            tallies = run_fast_pass(plan, trace, cfg, hierarchy, predictor,
-                                    record=True, annotate=annotate)
-            assert tallies is not None
+            (_, _, tallies), = PassDriver(trace, cfg, hierarchy,
+                                          predictor).run(annotate)
             return tallies.profile(trace.name, len(trace),
                                    analyze_trace(trace))
 

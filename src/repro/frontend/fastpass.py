@@ -19,33 +19,40 @@ same pass as specialised sweeps over *precomputed* index arrays:
   references afterwards in one LRU sweep.  The co-run pass
   (:mod:`repro.corun.contention`) relies on the same split: it merges
   several workloads' references and replays them on one shared L2.
-* **Branch sweep** (:func:`sweep_branches`).  gShare's global history is
-  a sliding window over the *outcome* bits, independent of its
-  predictions — so the whole per-branch table-index sequence is
-  vectorizable.  The remaining loop only steps the 2-bit counters (whose
-  chains per table entry are the one truly sequential part) and records
-  mispredictions.  Non-gShare predictors fall back to the generic
-  per-branch ``observe`` call.
+* **Branch sweep** (:func:`sweep_branches`).  The predictor's own
+  :meth:`~repro.branch.predictor.BranchPredictor.observe_batch` steps
+  it through the plan's branches; the sweep maps the mispredicted ones
+  back to trace positions with one index.  gShare's batch vectorizes
+  the history and table indices (its global history is a sliding
+  window over the *outcome* bits, independent of its predictions) and
+  loops only over the 2-bit counters; other predictors run the
+  sequential ``observe`` loop.
 
 :func:`settle_pass` turns the references and their L2 hit flags into the
 pass's :class:`PassTallies`.  A :class:`FastPassPlan` captures everything
-that depends only on the trace and the collector configuration, so
-warm-up and measurement passes share one precomputation.
+that depends only on a chunk of the trace and the collector
+configuration.  :class:`PassDriver` is the one loop that walks a pass's
+chunks and plans them: the in-memory collector, the streaming collector
+and the co-run's private sweeps all run their passes through it.  A
+materialized trace keeps its plan across the warm-up and recording
+passes; a chunk stream is planned afresh on every pass, so only one
+chunk's plan is alive at a time.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.branch.gshare import GShare
 from repro.branch.predictor import BranchPredictor
 from repro.frontend.events import EventAnnotations, MissEventProfile
 from repro.isa.opclass import OpClass
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import CacheHierarchy
+from repro.obs import spans as _spans
 from repro.trace.analysis import TraceStatistics
 from repro.trace.trace import Trace
 
@@ -95,17 +102,18 @@ class PassTallies:
 
 
 class FastPassPlan:
-    """Trace- and config-dependent precomputation shared by all passes.
+    """Chunk- and config-dependent precomputation of one chunk's sweeps.
 
-    ``prev_line`` supports chunk-at-a-time streaming: for any chunk but
-    the first of a pass, it carries the previous chunk's last fetch line
-    so the boundary transition is computed exactly as the reference pass
-    would across the seam.  ``None`` (the default) is the start-of-pass
-    sentinel — the first instruction always opens a new fetch line.
+    ``prev_line`` carries the previous chunk's last fetch line so the
+    boundary transition is computed exactly as the reference pass would
+    across the seam; ``None`` is the start-of-pass sentinel — the first
+    instruction always opens a new fetch line.  ``base`` is the chunk's
+    first trace index: the plan's ``mem_idx`` and ``branch_idx`` are
+    trace positions.
     """
 
     def __init__(self, trace: Trace, config: "CollectorConfig",
-                 prev_line: int | None = None):
+                 prev_line: int | None, base: int):
         hier = config.hierarchy
         n = len(trace)
         pc = trace.pc
@@ -137,7 +145,7 @@ class FastPassPlan:
             sel |= is_store
         mem_idx = np.flatnonzero(sel)
         m = len(mem_idx)
-        self.mem_idx = mem_idx.tolist()
+        self.mem_idx = (mem_idx + base).tolist()
         if hier.ideal_icache:
             self.tr_flag = [False] * m
         else:
@@ -164,40 +172,9 @@ class FastPassPlan:
         self.d2tag = (dl2 // l2.num_sets).tolist()
 
         bidx = np.flatnonzero(op == int(OpClass.BRANCH))
-        self.branch_idx = bidx.tolist()
+        self.branch_idx = bidx + base
         self.branch_pc = pc[bidx]
-        self.branch_pc_list = self.branch_pc.tolist()
-        self.branch_taken = trace.taken[bidx].astype(np.int64)
-        self.branch_taken_list = self.branch_taken.tolist()
-
-
-def _gshare_history(
-    predictor: GShare, taken: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Global-history value before each branch, plus the final history.
-
-    The history register is the last ``history_bits`` outcome bits — a
-    pure function of the taken sequence and the pass-entry history, so it
-    vectorizes even though predictions do not.
-    """
-    hb = predictor.history_bits
-    hmask = predictor._history_mask
-    h0 = predictor._history
-    num = len(taken)
-    if hb == 0:
-        return np.zeros(num, dtype=np.int64), 0
-    ext = np.empty(num + hb, dtype=np.int64)
-    for i in range(hb):
-        ext[hb - 1 - i] = (h0 >> i) & 1
-    ext[hb:] = taken
-    hist = np.zeros(num, dtype=np.int64)
-    for i in range(hb):
-        hist |= ext[hb - 1 - i : hb - 1 - i + num] << i
-    hist &= hmask
-    final = 0
-    for i in range(hb):
-        final |= int(ext[num + hb - 1 - i]) << i
-    return hist, final & hmask
+        self.branch_taken = trace.taken[bidx]
 
 
 #: kind of an L1-miss reference to the L2 (loads and stores share the
@@ -227,9 +204,9 @@ class PrivateSweep:
 
 
 def sweep_l1(plan: FastPassPlan, hierarchy: CacheHierarchy,
-             out: PrivateSweep, base: int = 0) -> None:
+             out: PrivateSweep) -> None:
     """Walk ``plan.mem_idx`` over the private L1I/L1D, appending each L1
-    miss to ``out`` as an L2 reference at trace index ``base + i``."""
+    miss to ``out`` as an L2 reference at its trace index."""
     isets = hierarchy.l1i._sets
     dsets = hierarchy.l1d._sets
     iassoc = hierarchy.l1i.geometry.associativity
@@ -263,7 +240,7 @@ def sweep_l1(plan: FastPassPlan, hierarchy: CacheHierarchy,
                 tags.insert(0, tag)
                 if len(tags) > iassoc:
                     tags.pop()
-                ref_idx(base + mem_idx[i])
+                ref_idx(mem_idx[i])
                 ref_kind(FETCH)
                 ref_set(i2set[i])
                 ref_tag(i2tag[i])
@@ -279,7 +256,7 @@ def sweep_l1(plan: FastPassPlan, hierarchy: CacheHierarchy,
                 tags.insert(0, tag)
                 if len(tags) > dassoc:
                     tags.pop()
-                ref_idx(base + mem_idx[i])
+                ref_idx(mem_idx[i])
                 ref_kind(d)
                 ref_set(d2set[i])
                 ref_tag(d2tag[i])
@@ -314,54 +291,22 @@ def sweep_l2(cache: Cache, sets: list[int], tags: list[int]) -> np.ndarray:
 
 
 def sweep_branches(plan: FastPassPlan, config: "CollectorConfig",
-                   predictor: BranchPredictor, out: PrivateSweep,
-                   base: int = 0) -> None:
+                   predictor: BranchPredictor, out: PrivateSweep) -> None:
     """Step ``predictor`` through the plan's branches, appending each
-    misprediction's trace index ``base + i`` to ``out.misp``."""
+    misprediction's trace index to ``out.misp``."""
     branch_idx = plan.branch_idx
-    num_b = len(branch_idx)
-    out.branches += num_b
-    if not num_b or config.ideal_predictor:
-        return
-    misp = out.misp.append
-    taken_l = plan.branch_taken_list
-    if type(predictor) is GShare:
-        hist, final_hist = _gshare_history(predictor, plan.branch_taken)
-        idx = (((plan.branch_pc >> 2) ^ hist)
-               & predictor._index_mask).tolist()
-        tbl = predictor._table.tolist()
-        misp_count = 0
-        for j in range(num_b):
-            ix = idx[j]
-            c = tbl[ix]
-            if taken_l[j]:
-                if c < 2:  # predicted not-taken: mispredict
-                    misp_count += 1
-                    misp(base + branch_idx[j])
-                if c < 3:
-                    tbl[ix] = c + 1
-            else:
-                if c >= 2:  # predicted taken: mispredict
-                    misp_count += 1
-                    misp(base + branch_idx[j])
-                if c:
-                    tbl[ix] = c - 1
-        predictor._table[:] = tbl
-        predictor._history = final_hist
-        predictor.stats.predictions += num_b
-        predictor.stats.mispredictions += misp_count
-    else:
-        pcs = plan.branch_pc_list
-        for j in range(num_b):
-            if not predictor.observe(pcs[j], bool(taken_l[j])):
-                misp(base + branch_idx[j])
+    out.branches += len(branch_idx)
+    if len(branch_idx) and not config.ideal_predictor:
+        correct = predictor.observe_batch(plan.branch_pc, plan.branch_taken)
+        out.misp.extend(branch_idx[~correct].tolist())
 
 
 def settle_pass(sweep: PrivateSweep, hits: np.ndarray, length: int,
-                config: "CollectorConfig",
-                annotate: bool = False) -> PassTallies:
-    """Turn one pass's references and their L2 hit flags into the pass's
-    tallies, annotated over ``length`` instructions when ``annotate``."""
+                config: "CollectorConfig", annotate: bool = False,
+                base: int = 0) -> PassTallies:
+    """Turn the references of one pass, or of one chunk starting at
+    trace index ``base``, and their L2 hit flags into tallies, annotated
+    over the ``length`` instructions from ``base`` when ``annotate``."""
     hier_cfg = config.hierarchy
     idx = np.array(sweep.idx, dtype=np.int64)
     kind = np.array(sweep.kind, dtype=np.int8)
@@ -372,14 +317,15 @@ def settle_pass(sweep: PrivateSweep, hits: np.ndarray, length: int,
     annotations = None
     if annotate:
         lat = np.where(hits, hier_cfg.l2_latency, hier_cfg.memory_latency)
+        at = idx - base
         fetch_stall = np.zeros(length, dtype=np.int32)
-        fetch_stall[idx[fetch]] = lat[fetch]
+        fetch_stall[at[fetch]] = lat[fetch]
         load_extra = np.zeros(length, dtype=np.int32)
-        load_extra[idx[load]] = lat[load]
+        load_extra[at[load]] = lat[load]
         long_miss = np.zeros(length, dtype=np.bool_)
-        long_miss[idx[long_load]] = True
+        long_miss[at[long_load]] = True
         mispredicted = np.zeros(length, dtype=np.bool_)
-        mispredicted[sweep.misp] = True
+        mispredicted[np.array(sweep.misp, dtype=np.int64) - base] = True
         annotations = EventAnnotations(
             fetch_stall=fetch_stall, load_extra=load_extra,
             long_miss=long_miss, mispredicted=mispredicted,
@@ -399,26 +345,100 @@ def settle_pass(sweep: PrivateSweep, hits: np.ndarray, length: int,
     )
 
 
-def run_fast_pass(
-    plan: FastPassPlan,
-    trace: Trace,
-    config: "CollectorConfig",
-    hierarchy: CacheHierarchy,
-    predictor: BranchPredictor,
-    record: bool,
-    annotate: bool = False,
-) -> PassTallies | None:
-    """One functional pass over ``trace`` using the precomputed ``plan``.
+#: a zero-argument callable yielding a fresh iterable of trace chunks,
+#: called once per pass
+ChunkSource = Callable[[], Iterable[Trace]]
 
-    Mutates the cache and predictor state of ``hierarchy`` and
-    ``predictor`` exactly as the reference pass does, and the L2's and
-    the predictor's statistics (the private L1 and per-stream counters,
-    which nothing reads after a pass, are left alone); returns tallies
-    when ``record``.
+
+class PassDriver:
+    """The one walk over a functional pass's chunks.
+
+    ``source`` is the pass's input: a materialized :class:`Trace`, whose
+    plan is built on the first pass and kept for every later one, or a
+    :data:`ChunkSource`, whose chunks are planned afresh on every pass.
+    Each chunk's plan carries the previous chunk's last fetch line and
+    the chunk's base index.  Every pass must serve exactly ``length``
+    instructions (the trace's length by default); ``name`` labels the
+    error when one does not, and a streamed warm-up pass's span.
+
+    The driver steps ``hierarchy``'s private L1s and ``predictor``;
+    :meth:`run` also sweeps the hierarchy's L2 chunk by chunk, while the
+    co-run takes :meth:`private_pass` and replays the L2 references of
+    all its workloads on one shared L2.
     """
-    sweep = PrivateSweep()
-    sweep_l1(plan, hierarchy, sweep)
-    hits = sweep_l2(hierarchy.l2, sweep.l2_set, sweep.l2_tag)
-    sweep_branches(plan, config, predictor, sweep)
-    tallies = settle_pass(sweep, hits, len(trace), config, annotate)
-    return tallies if record else None
+
+    def __init__(self, source: Trace | ChunkSource, config: "CollectorConfig",
+                 hierarchy: CacheHierarchy, predictor: BranchPredictor,
+                 length: int | None = None, name: str | None = None):
+        self.config = config
+        self.hierarchy = hierarchy
+        self.predictor = predictor
+        self._source = source
+        self._materialized = isinstance(source, Trace)
+        self.length = len(source) if length is None else length
+        self.name = source.name if name is None else name
+        self._kept: list[tuple[int, Trace, FastPassPlan]] | None = None
+
+    def _plans(self) -> Iterable[tuple[int, Trace, FastPassPlan]]:
+        if not self._materialized:
+            return self._walk(self._source())
+        if self._kept is None:
+            self._kept = list(self._walk((self._source,)))
+        return self._kept
+
+    def _walk(self, chunks: Iterable[Trace]
+              ) -> Iterator[tuple[int, Trace, FastPassPlan]]:
+        base = 0
+        last_line: int | None = None
+        for chunk in chunks:
+            if base + len(chunk) > self.length:
+                raise ValueError(f"{self.name} served more than "
+                                 f"{self.length} instructions")
+            plan = FastPassPlan(chunk, self.config, last_line, base)
+            yield base, chunk, plan
+            base += len(chunk)
+            last_line = plan.last_line
+        if base != self.length:
+            raise ValueError(f"{self.name} served {base} of {self.length} "
+                             "instructions")
+
+    def _sweeps(self, into: PrivateSweep | None = None
+                ) -> Iterator[tuple[int, Trace, PrivateSweep]]:
+        """One pass's L1 and branch sweeps, chunk by chunk, each into a
+        fresh :class:`PrivateSweep` or all into ``into``."""
+        for base, chunk, plan in self._plans():
+            sweep = PrivateSweep() if into is None else into
+            sweep_l1(plan, self.hierarchy, sweep)
+            sweep_branches(plan, self.config, self.predictor, sweep)
+            yield base, chunk, sweep
+
+    def private_pass(self) -> PrivateSweep:
+        """One pass's L1 and branch sweeps, every chunk's references
+        gathered in program order for a later L2 replay."""
+        sweep = PrivateSweep()
+        for _ in self._sweeps(sweep):
+            pass
+        return sweep
+
+    def run(self, annotate: bool = False
+            ) -> Iterator[tuple[int, Trace, PassTallies]]:
+        """The configured warm-up passes, then ``(base, chunk, tallies)``
+        for each chunk of the recording pass.
+
+        Mutates the cache and predictor state exactly as the reference
+        pass does, and the L2's and the predictor's statistics (the
+        private L1 and per-stream counters, which nothing reads after a
+        pass, are left alone).  A streamed warm-up pass runs in a
+        ``frontend.warmup`` span.
+        """
+        l2 = self.hierarchy.l2
+        for warmup in range(max(0, self.config.warmup_passes)):
+            with (nullcontext() if self._materialized else
+                  _spans.span("frontend.warmup", workload=self.name,
+                              warmup_pass=warmup)):
+                for _, _, sweep in self._sweeps():
+                    sweep_l2(l2, sweep.l2_set, sweep.l2_tag)
+        for base, chunk, sweep in self._sweeps():
+            hits = sweep_l2(l2, sweep.l2_set, sweep.l2_tag)
+            yield base, chunk, settle_pass(sweep, hits, len(chunk),
+                                           self.config, annotate, base)

@@ -114,7 +114,7 @@ class DetailedSimulator:
     """
 
     def __init__(self, config: MachineSpec | None = None,
-                 instrument: bool = True, engine: str = "fast",
+                 instrument: bool = False, engine: str = "fast",
                  telemetry=None):
         self.config = config or BASELINE
         self.instrument = instrument
@@ -421,7 +421,7 @@ def simulate(
     trace: Trace,
     config: MachineSpec | None = None,
     annotations: EventAnnotations | None = None,
-    instrument: bool = True,
+    instrument: bool = False,
     engine: str = "fast",
     telemetry=None,
 ) -> SimResult:

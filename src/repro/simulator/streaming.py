@@ -152,7 +152,7 @@ def run_fast_stream(
     length: int,
     config: MachineSpec,
     name: str = "trace",
-    instrument: bool = True,
+    instrument: bool = False,
     telemetry=None,
 ) -> SimResult:
     """Simulate ``length`` instructions fed as ``(base, chunk,
@@ -603,7 +603,7 @@ class _Accounts:
 def simulate_stream(
     stream,
     config: MachineSpec | None = None,
-    instrument: bool = True,
+    instrument: bool = False,
     warmup_passes: int = 1,
     telemetry=None,
 ) -> SimResult:

@@ -228,5 +228,5 @@ def statistical_simulate(
     profile = FirstOrderModel(cfg).profile(trace)
     stats = ProgramStatistics.collect(trace, profile)
     synthetic = StatisticalTraceGenerator(stats, cfg).generate(length, seed)
-    sim = DetailedSimulator(cfg, instrument=False)
+    sim = DetailedSimulator(cfg)
     return sim.run(synthetic.trace, synthetic.annotations)

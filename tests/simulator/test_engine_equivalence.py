@@ -60,8 +60,9 @@ def test_fast_engine_matches_reference(bench_name, length, config,
                                       monkeypatch):
     trace = generate_trace(bench_name, length)
     annotations = DetailedSimulator(config, engine="fast").annotate(trace)
-    fast = DetailedSimulator(config, engine="fast").run(trace, annotations)
-    ref = DetailedSimulator(config, engine="reference").run(
+    fast = DetailedSimulator(config, instrument=True, engine="fast").run(
+        trace, annotations)
+    ref = DetailedSimulator(config, instrument=True, engine="reference").run(
         trace, annotations
     )
     assert_equivalent(fast, ref)
@@ -73,7 +74,7 @@ def test_fast_engine_matches_reference(bench_name, length, config,
                                                           size))
                 for i in range(0, length, size)]
         chunked = streaming.run_fast_stream(feed, length, config,
-                                            name=trace.name)
+                                            name=trace.name, instrument=True)
         assert_equivalent(chunked, ref)
 
 
@@ -100,10 +101,10 @@ def test_equivalence_under_miss_pressure(mcf_trace, small_l2_hierarchy):
     machinery gets real exercise."""
     config = dataclasses.replace(BASELINE, hierarchy=small_l2_hierarchy)
     annotations = DetailedSimulator(config).annotate(mcf_trace)
-    fast = DetailedSimulator(config, engine="fast").run(
+    fast = DetailedSimulator(config, instrument=True, engine="fast").run(
         mcf_trace, annotations
     )
-    ref = DetailedSimulator(config, engine="reference").run(
+    ref = DetailedSimulator(config, instrument=True, engine="reference").run(
         mcf_trace, annotations
     )
     assert fast.dcache_long_count > 30
@@ -129,12 +130,11 @@ def test_full_length_equivalence(bench_name):
     """Full experiment-length traces, both engines, bit-for-bit."""
     trace = generate_trace(bench_name, 30_000)
     annotations = DetailedSimulator(BASELINE).annotate(trace)
-    fast = DetailedSimulator(BASELINE, engine="fast").run(
+    fast = DetailedSimulator(BASELINE, instrument=True, engine="fast").run(
         trace, annotations
     )
-    ref = DetailedSimulator(BASELINE, engine="reference").run(
-        trace, annotations
-    )
+    ref = DetailedSimulator(BASELINE, instrument=True,
+                            engine="reference").run(trace, annotations)
     assert_equivalent(fast, ref)
 
 
@@ -148,10 +148,10 @@ class TestTelemetryEquivalence:
         annotations = DetailedSimulator(config).annotate(trace)
         for engine in ("fast", "reference"):
             off = DetailedSimulator(
-                config, engine=engine, telemetry=False
+                config, instrument=True, engine=engine, telemetry=False
             ).run(trace, annotations)
             on = DetailedSimulator(
-                config, engine=engine, telemetry=True
+                config, instrument=True, engine=engine, telemetry=True
             ).run(trace, annotations)
             assert_equivalent(on, off)
 

@@ -99,17 +99,18 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
                                              chunk_size, small_tables,
                                              interval, max_rows):
     trace = generate_trace(bench, length, seed)
-    ref_sim = DetailedSimulator(machine, engine="reference", telemetry=False)
+    ref_sim = DetailedSimulator(machine, instrument=True, engine="reference",
+                                telemetry=False)
     annotations = ref_sim.annotate(trace)
     ref = ref_sim.run(trace, annotations)
-    fast = DetailedSimulator(machine, engine="fast", telemetry=False).run(
-        trace, annotations)
+    fast = DetailedSimulator(machine, instrument=True, engine="fast",
+                             telemetry=False).run(trace, annotations)
     assert_equivalent(fast, ref)
     # the smallest tables the engine allows make it cross many blocks
     span = 0 if small_tables else streaming._TABLE_SPAN
     with mock.patch.object(streaming, "_TABLE_SPAN", span):
         streamed = simulate_stream(_chunked(trace, chunk_size), machine,
-                                   telemetry=False)
+                                   instrument=True, telemetry=False)
     assert_equivalent(streamed, ref)
     # the fast engine charges class counts in place without an event
     # trace and through the session with one: draw a session of each
@@ -118,14 +119,16 @@ def test_engines_agree_on_generated_machines(machine, bench, length, seed,
                              max_timeline_rows=max_rows))
     for config in configs:
         sessions = [Telemetry(config) for _ in range(3)]
-        ref_sim = DetailedSimulator(machine, engine="reference",
+        ref_sim = DetailedSimulator(machine, instrument=True,
+                                    engine="reference",
                                     telemetry=sessions[0])
         assert_equivalent(ref_sim.run(trace, annotations), ref)
-        fast_sim = DetailedSimulator(machine, engine="fast",
+        fast_sim = DetailedSimulator(machine, instrument=True, engine="fast",
                                      telemetry=sessions[1])
         assert_equivalent(fast_sim.run(trace, annotations), ref)
         with mock.patch.object(streaming, "_TABLE_SPAN", span):
             streamed = simulate_stream(_chunked(trace, chunk_size), machine,
+                                       instrument=True,
                                        telemetry=sessions[2])
         assert_equivalent(streamed, ref)
         expected = _measured(sessions[0])
@@ -216,7 +219,8 @@ def _pathological(case: str, machine: MachineSpec):
                                   "same-cycle-ready-burst"))
 def test_engines_agree_on_pathological_traces(case, machine):
     trace, annotations = _pathological(case, machine)
-    sims = {engine: DetailedSimulator(machine, engine=engine, telemetry=True)
+    sims = {engine: DetailedSimulator(machine, instrument=True, engine=engine,
+                                      telemetry=True)
             for engine in ("reference", "fast")}
     ref, fast = (sim.run(trace, annotations) for sim in sims.values())
     # every annotated event reaches the timing model
@@ -236,7 +240,8 @@ def test_engines_agree_on_pathological_traces(case, machine):
                     for i in range(0, _N, size)]
             with mock.patch.object(streaming, "_TABLE_SPAN", span):
                 streamed = streaming.run_fast_stream(
-                    feed, _N, machine, name=case, telemetry=tele)
+                    feed, _N, machine, name=case, instrument=True,
+                    telemetry=tele)
             assert_equivalent(streamed, ref)
             tele.finish(case, streamed.instructions, streamed.cycles)
             assert _measured(tele) == expected

@@ -216,7 +216,7 @@ class TestStructuralSensitivity:
 
 class TestInstrumentation:
     def test_histogram_sums_to_cycles(self, gzip_trace, baseline):
-        r = simulate(gzip_trace, baseline)
+        r = simulate(gzip_trace, baseline, instrument=True)
         hist = r.instrumentation.issued_histogram
         assert int(hist.sum()) == r.cycles
         # the weighted sum equals total instructions issued
@@ -224,12 +224,12 @@ class TestInstrumentation:
         assert weighted == r.instructions
 
     def test_histogram_width_bound(self, gzip_trace, baseline):
-        r = simulate(gzip_trace, baseline)
+        r = simulate(gzip_trace, baseline, instrument=True)
         assert len(r.instrumentation.issued_histogram) == baseline.width + 1
 
     def test_window_left_recorded_per_mispredict_issue(self, gzip_trace,
                                                        baseline):
-        r = simulate(gzip_trace, baseline.all_real())
+        r = simulate(gzip_trace, baseline.all_real(), instrument=True)
         instr = r.instrumentation
         if r.misprediction_count:
             assert 0 < len(instr.window_left_at_mispredict) <= (
@@ -241,7 +241,7 @@ class TestInstrumentation:
             )
 
     def test_rob_ahead_bounded(self, mcf_trace, baseline):
-        r = simulate(mcf_trace, baseline.all_real())
+        r = simulate(mcf_trace, baseline.all_real(), instrument=True)
         instr = r.instrumentation
         assert all(
             0 <= v < baseline.rob_size
@@ -253,7 +253,7 @@ class TestInstrumentation:
         assert r.instrumentation is None
 
     def test_fraction_of_cycles_at_issue(self, gzip_trace, baseline):
-        r = simulate(gzip_trace, baseline)
+        r = simulate(gzip_trace, baseline, instrument=True)
         f_any = r.instrumentation.fraction_of_cycles_at_issue(0)
         f_max = r.instrumentation.fraction_of_cycles_at_issue(baseline.width)
         assert f_any == pytest.approx(1.0)

@@ -1,27 +1,35 @@
 """Streaming pipeline equivalence: chunked execution is bit-identical.
 
-The streaming functional pass, the streaming trace analyzer, and the
-chunk-fed detailed engine must reproduce the in-memory pipeline's
-outputs exactly — same cycles, same counts, same instrumentation, same
-profile, same telemetry — for every chunk size.  Chunk size is a memory
-knob, never a semantic one.
+The streaming functional pass and the chunk-fed detailed engine must
+reproduce the in-memory pipeline's outputs exactly — same cycles, same
+counts, same instrumentation, same profile, same telemetry — for every
+chunk size.  Chunk size is a memory knob, never a semantic one.  (The
+streaming trace analyzer's check is in ``tests/trace/test_analysis.py``.)
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.config import BASELINE
 from repro.frontend.collector import CollectorConfig, MissEventCollector
-from repro.frontend.streaming import collect_stream
+from repro.frontend.events import EventAnnotations
+from repro.frontend.streaming import StreamingCollector
 from repro.simulator.processor import simulate
 from repro.simulator.streaming import simulate_stream
 from repro.telemetry import Telemetry
 from repro.trace.chunks import TraceChunkStream
 from repro.trace.synthetic import generate_trace
-from repro.trace.vectorgen import ChunkedTraceGenerator, stream_chunks
+from repro.trace.vectorgen import (
+    ChunkedTraceGenerator,
+    concat_traces,
+    stream_chunks,
+)
 from repro.trace.profiles import get_profile
+from tests.frontend.test_pass_fuzz import ANNOTATIONS, summarize
 
 _N = 8_000
 CHUNK_SIZES = [512, 1009, _N]
@@ -35,14 +43,28 @@ def _stream(benchmark: str, n: int, chunk_size: int) -> TraceChunkStream:
     )
 
 
+def _collect_streamed(stream, config: CollectorConfig) -> SimpleNamespace:
+    """The profile counts and indices recomputed from the chunks and
+    annotations :meth:`StreamingCollector.iter_annotated` yields."""
+    chunks, parts = [], []
+    for _, chunk, annotations in (
+            StreamingCollector(config).iter_annotated(stream)):
+        chunks.append(chunk)
+        parts.append(annotations)
+    annotations = EventAnnotations(*(
+        np.concatenate([getattr(a, f) for a in parts]) for f in ANNOTATIONS))
+    return SimpleNamespace(**summarize(concat_traces(chunks, stream.name),
+                                       annotations,
+                                       config.hierarchy))
 
 
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 @pytest.mark.parametrize("bench", ["gzip", "mcf"])
 def test_simulate_stream_matches_in_memory(bench, chunk_size):
     cfg = BASELINE
-    ref = simulate(generate_trace(bench, _N), cfg)
-    got = simulate_stream(_stream(bench, _N, chunk_size), cfg)
+    ref = simulate(generate_trace(bench, _N), cfg, instrument=True)
+    got = simulate_stream(_stream(bench, _N, chunk_size), cfg,
+                          instrument=True)
     assert got.cycles == ref.cycles
     assert got.instructions == ref.instructions
     assert got.misprediction_count == ref.misprediction_count
@@ -62,8 +84,8 @@ def test_streaming_collector_matches_in_memory(chunk_size):
     cfg = BASELINE
     trace = generate_trace("vortex", _N)
     ref = MissEventCollector(CollectorConfig.of(cfg)).collect(trace)
-    got = collect_stream(_stream("vortex", _N, chunk_size),
-                         CollectorConfig.of(cfg))
+    got = _collect_streamed(_stream("vortex", _N, chunk_size),
+                            CollectorConfig.of(cfg))
     for field in ("length", "branch_count", "misprediction_count",
                   "fetch_line_accesses", "icache_short_count",
                   "icache_long_count", "load_count", "dcache_short_count",
@@ -72,16 +94,6 @@ def test_streaming_collector_matches_in_memory(chunk_size):
     assert np.array_equal(got.misprediction_indices,
                           ref.misprediction_indices)
     assert np.array_equal(got.long_miss_indices, ref.long_miss_indices)
-    gs, rs = got.trace_stats, ref.trace_stats
-    assert gs.length == rs.length
-    assert gs.mix == rs.mix
-    assert gs.mean_latency == rs.mean_latency
-    assert gs.branch_fraction == rs.branch_fraction
-    assert gs.load_fraction == rs.load_fraction
-    assert gs.store_fraction == rs.store_fraction
-    assert gs.mean_dependence_distance == rs.mean_dependence_distance
-    assert np.array_equal(gs.dependence_distance_histogram,
-                          rs.dependence_distance_histogram)
 
 
 def test_streaming_telemetry_matches_in_memory():
@@ -125,7 +137,7 @@ def test_streaming_warmup_passes_match():
     for passes in (0, 2):
         config = CollectorConfig.of(cfg, warmup_passes=passes)
         ref = MissEventCollector(config).collect(trace)
-        got = collect_stream(_stream("gcc", 5_000, 777), config)
+        got = _collect_streamed(_stream("gcc", 5_000, 777), config)
         assert got.misprediction_count == ref.misprediction_count
         assert got.icache_long_count == ref.icache_long_count
         assert got.dcache_long_count == ref.dcache_long_count

@@ -1,6 +1,8 @@
 """Tests for trace statistics, including property-based checks on the
 event-distance and group-size machinery behind Eq. 8."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,15 @@ from hypothesis import strategies as st
 
 from repro.isa.latency import LatencyTable
 from repro.trace.analysis import (
+    StreamingTraceAnalyzer,
+    TraceStatistics,
     analyze_trace,
     event_distances,
     group_size_distribution,
 )
+from repro.trace.synthetic import generate_trace
 from repro.trace.trace import Trace
+from repro.trace.vectorgen import stream_chunks
 
 
 class TestAnalyzeTrace:
@@ -67,6 +73,27 @@ class TestAnalyzeTrace:
         fast = analyze_trace(gzip_trace, LatencyTable.unit())
         heavy = analyze_trace(gzip_trace, slow)
         assert heavy.mean_latency > fast.mean_latency
+
+
+@pytest.mark.parametrize("chunk_size", [512, 1009, None],
+                         ids=["512", "1009", "whole"])
+def test_streaming_analyzer_matches_analyze_trace(chunk_size):
+    """Statistics accumulated chunk by chunk over a generated stream
+    equal the in-memory trace's, field for field."""
+    length = 8_000
+    analyzer = StreamingTraceAnalyzer()
+    for chunk in stream_chunks("vortex", length,
+                               chunk_size=chunk_size or length):
+        analyzer.update(chunk)
+    got = analyzer.finalize()
+    ref = analyze_trace(generate_trace("vortex", length))
+    for field in dataclasses.fields(TraceStatistics):
+        g, r = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(r, np.ndarray):
+            assert g.dtype == r.dtype, field.name
+            assert np.array_equal(g, r), field.name
+        else:
+            assert g == r, field.name
 
 
 class TestEventDistances:
