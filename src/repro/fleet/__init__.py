@@ -8,9 +8,10 @@ bit-identical to an in-process run:
   bounded-load placement and deterministic rebalance.  Requests shard
   by :meth:`repro.spec.RunSpec.content_key` (via the service's
   ``request_key``), so each node's cache stays hot for its shard.
-* :mod:`repro.fleet.client` — :class:`AsyncServiceClient`, an asyncio
-  client with connection pooling and request pipelining (many frames in
-  flight per connection, demuxed by request id).
+* :mod:`repro.service.client` — :class:`AsyncServiceClient`, the
+  asyncio wire client the router drives: connection pooling and request
+  pipelining (many frames in flight per connection, demuxed by request
+  id).  It is re-exported here.
 * :mod:`repro.fleet.router` — the front door (``repro route``): speaks
   the service's exact newline-JSON/HTTP protocol, peeks ring targets'
   caches before forwarding, replicates responses toward the key's
@@ -27,10 +28,10 @@ bit-identical to an in-process run:
 See docs/FLEET.md for topology, key-affinity and failover semantics.
 """
 
-from repro.fleet.client import AsyncServiceClient
 from repro.fleet.nodes import LocalFleet, NodeProc, spawn_node
 from repro.fleet.ring import HashRing
 from repro.fleet.router import BackgroundRouter, FleetRouter, route
+from repro.service.client import AsyncServiceClient
 from repro.spec.fleet import FleetSpec
 
 __all__ = [

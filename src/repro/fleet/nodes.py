@@ -65,20 +65,23 @@ class NodeProc:
         open — connects still succeed and then hang, which turns a
         crisp connection-refused failover into a full request timeout.
         """
-        if self.alive:
-            self._signal_group(signal.SIGKILL)
-            self.process.wait(timeout=10)
+        try:
+            if self.alive:
+                self._signal_group(signal.SIGKILL)
+                self.process.wait(timeout=10)
+        finally:
+            self.process.stdout.close()  # the ready-line pipe
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful SIGINT (drain), escalating to a group SIGKILL."""
-        if not self.alive:
-            return
-        self.process.send_signal(signal.SIGINT)
         try:
-            self.process.wait(timeout=timeout)
+            if self.alive:
+                self.process.send_signal(signal.SIGINT)
+                self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            self._signal_group(signal.SIGKILL)
-            self.process.wait(timeout=10)
+            self.kill()
+        finally:
+            self.process.stdout.close()
 
     def _signal_group(self, sig: int) -> None:
         try:
@@ -130,6 +133,7 @@ def spawn_node(node_id: str, cache_dir: str, workers: int | None = 1,
         line = process.stdout.readline()
         if not line:
             if process.poll() is not None:
+                process.stdout.close()
                 raise RuntimeError(
                     f"node {node_id} exited with {process.returncode} "
                     "before binding")
@@ -144,6 +148,8 @@ def spawn_node(node_id: str, cache_dir: str, workers: int | None = 1,
                       node.pid)
             return node
     process.kill()
+    process.wait()
+    process.stdout.close()
     raise RuntimeError(
         f"node {node_id} did not print a ready line within {timeout}s "
         f"(last: {line!r})")

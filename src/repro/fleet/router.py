@@ -23,11 +23,13 @@ Request lifecycle
    compute).  A sibling hit is replicated toward the owner so the
    shard's natural home warms up, then served.
 4. **Forward & fail over.**  On a miss the full request goes to the
-   forward target.  A connection failure or reset marks the node
-   suspect and replays the request on the next target — safe because
-   evaluations are idempotent by content key.  ``overloaded`` from a
-   node is also retried on siblings; only when *every* target is
-   saturated does the client see ``overloaded``.
+   forward target.  A connection failure or reset, or a node silent past
+   its client's wait, marks the node suspect and replays the
+   request on the next target — safe because evaluations are idempotent
+   by content key.  ``overloaded`` from a node is also retried on
+   siblings; only when *every* target is saturated does the client see
+   ``overloaded``.  A request's ``timeout`` is the node's deadline, so a
+   node that passes it answers ``timeout``, and that answer is returned.
 
 Span tracing propagates through the hop: a traced client request gets a
 ``router.route`` span parented under the client's span, and the node's
@@ -42,10 +44,10 @@ import logging
 import time
 
 from repro import package_version
-from repro.fleet.client import AsyncServiceClient
 from repro.fleet.ring import HashRing
 from repro.obs import spans as _spans
 from repro.service import protocol
+from repro.service.client import AsyncServiceClient
 from repro.service.protocol import ErrorCode, ProtocolError
 from repro.service.server import (
     BackgroundDoor,
@@ -57,7 +59,8 @@ from repro.telemetry.metrics import metrics_registry
 
 _log = logging.getLogger(__name__)
 
-#: deadline for a cache peek — a disk probe, not a compute
+#: how long the router waits for a cache peek or an identity ping — a
+#: disk probe or an echo, never a compute — before moving on
 PEEK_TIMEOUT_S = 5.0
 
 
@@ -164,10 +167,19 @@ class FleetRouter(FrontDoor):
 
     async def _learn_identity(self, node: _Node) -> None:
         try:
-            result = await node.client.evaluate("ping", timeout=5.0)
+            result = await self._probe(node, "ping")
             node.node_id = result.get("node") or node.address
         except Exception as exc:  # noqa: BLE001 - identity is best-effort
             node.last_error = f"ping: {exc}"
+
+    @staticmethod
+    async def _probe(node: _Node, op: str, params: dict | None = None,
+                     trace: dict | None = None) -> dict:
+        """A ``peek`` or ``ping`` on ``node``, waited for at most
+        :data:`PEEK_TIMEOUT_S` (the node client's own wait is for
+        computes)."""
+        return await asyncio.wait_for(
+            node.client.evaluate(op, params, trace=trace), PEEK_TIMEOUT_S)
 
     def _mark_down(self, node: _Node, error: str) -> None:
         node.healthy = False
@@ -254,16 +266,11 @@ class FleetRouter(FrontDoor):
                 response = await node.client.request(
                     request.op, normalized, timeout=request.timeout,
                     trace=trace)
-            except (ConnectionError, OSError) as exc:
+            except OSError as exc:  # ConnectionError: lost or unanswered
                 self._mark_down(node, f"forward: {exc}")
                 metrics.counter("router.failover").inc()
                 _log.warning("node %s failed mid-request (%s); "
                              "failing over", node.address, exc)
-                continue
-            except asyncio.TimeoutError:
-                metrics.counter("router.failover").inc()
-                _log.warning("node %s timed out; failing over",
-                             node.address)
                 continue
             finally:
                 node.inflight -= 1
@@ -302,9 +309,8 @@ class FleetRouter(FrontDoor):
         owner = candidates[0] if candidates else None
         for node in candidates:
             try:
-                result = await node.client.evaluate(
-                    "peek", {"key": key}, timeout=PEEK_TIMEOUT_S,
-                    trace=trace)
+                result = await self._probe(node, "peek", {"key": key},
+                                           trace)
             except Exception:  # noqa: BLE001 - peeks are best-effort
                 continue
             if not result.get("found"):
@@ -313,9 +319,8 @@ class FleetRouter(FrontDoor):
             payload = result["result"]
             if owner is not None and node is not owner and owner.healthy:
                 try:
-                    await owner.client.evaluate(
-                        "peek", {"key": key, "store": payload},
-                        timeout=PEEK_TIMEOUT_S, trace=trace)
+                    await self._probe(owner, "peek",
+                                      {"key": key, "store": payload}, trace)
                     metrics.counter("router.replicated").inc()
                 except Exception:  # noqa: BLE001 - replication is advisory
                     pass
@@ -335,8 +340,7 @@ class FleetRouter(FrontDoor):
             raise ProtocolError("'peek' requires a string 'key'")
         for node in self._candidates(key):
             try:
-                result = await node.client.evaluate(
-                    "peek", request.params, timeout=PEEK_TIMEOUT_S)
+                result = await self._probe(node, "peek", request.params)
             except Exception:  # noqa: BLE001
                 continue
             if result.get("found") or result.get("stored"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.isa.instruction import NO_REG
 from repro.isa.opclass import OpClass
-from repro.trace.trace import _COLUMNS, Trace
+from repro.trace.trace import Trace
 
 __all__ = [
     "OPCLASS_ALIASES",
@@ -159,8 +159,3 @@ def batch_to_trace(batch: Mapping[str, Sequence], name: str,
         src2=regs["src2"], addr=addr, taken=taken, target=target,
         name=name,
     )
-
-
-def column_names() -> tuple[str, ...]:
-    """The canonical trace column names, in serialization order."""
-    return tuple(col for col, _ in _COLUMNS)

@@ -70,11 +70,6 @@ def is_branch(opclass: OpClass) -> bool:
     return opclass in BRANCH_CLASSES
 
 
-def is_control(opclass: OpClass) -> bool:
-    """Return True if instructions of this class redirect fetch."""
-    return opclass in CONTROL_CLASSES
-
-
 def writes_register(opclass: OpClass) -> bool:
     """Return True if instructions of this class produce a register value."""
     return opclass in _WRITERS

@@ -18,8 +18,10 @@ round-trips:
   for newline-JSON frames and HTTP: ``/healthz``, ``/metrics``,
   ``/version``, ``POST /v1/eval``) that the service and the fleet
   router share, and the service itself with its graceful drain.
-* :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
-  Python API behind ``repro submit``.
+* :mod:`repro.service.client` — the wire client: the asyncio
+  ``AsyncServiceClient`` the fleet router drives, and
+  :class:`ServiceClient`, the blocking Python API behind
+  ``repro submit``, which runs it on a private event loop.
 
 Start one with ``repro serve`` and query it with ``repro submit`` or::
 

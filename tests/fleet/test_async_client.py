@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.fleet.client import AsyncServiceClient
+from repro.service.client import AsyncServiceClient
 from repro.service import BackgroundServer, SchedulerConfig
 from repro.service.client import ServiceError, _spec_payload
 

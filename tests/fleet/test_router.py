@@ -12,13 +12,14 @@ import asyncio
 import gc
 import http.client
 import json
+import time
 import warnings
 
 import pytest
 
 from repro.fleet import FleetSpec
 from repro.fleet.router import FleetRouter
-from repro.service import ServiceClient
+from repro.service import ServiceClient, protocol
 from repro.service.client import _spec_payload
 from repro.telemetry.metrics import metrics_registry
 
@@ -127,6 +128,45 @@ class TestAffinity:
         assert second["meta"]["served_from"] in ("peek", "cache")
         assert first["result"] == second["result"]
         assert metrics_registry().counter("router.peek_hit").value >= 1
+
+
+class TestDeadlines:
+    def test_node_deadline_answer_passes_through(self, fleet2):
+        """A request's ``timeout`` is the node's deadline: the node's
+        ``timeout`` answer reaches the client, with no failover and no
+        node marked down for it."""
+        router, _, _ = fleet2
+        params = _spec_payload("simulate", {
+            "benchmark": "gzip", "length": LENGTH, "chaos": {"sleep": 2.0}})
+        with ServiceClient(router.host, router.port) as client:
+            start = time.monotonic()
+            response = client.request("simulate", params, timeout=0.3)
+            elapsed = time.monotonic() - start
+        assert not response["ok"]
+        assert response["error"]["code"] == "timeout", response["error"]
+        assert elapsed < 1.5
+        _, body = _http(router, "GET", "/fleet")
+        doc = json.loads(body)
+        assert [n["healthy"] for n in doc["nodes"]] == [True, True], doc
+        assert doc["counters"]["router.failover"] == 0
+
+    def test_deadline_longer_than_the_node_client_wait_is_kept(self, fleet2):
+        """A node client waits out a request's own deadline even when it
+        is longer than the client's ``timeout``: a compute inside its
+        deadline is answered, with no failover and no node marked
+        down."""
+        router, _, _ = fleet2
+        for node in router.router.nodes.values():
+            node.client.timeout = 0.3
+        params = _spec_payload("simulate", {
+            "benchmark": "gzip", "length": LENGTH, "chaos": {"sleep": 1.0}})
+        with ServiceClient(router.host, router.port) as client:
+            response = client.request("simulate", params, timeout=10.0)
+        assert response["ok"], response.get("error")
+        _, body = _http(router, "GET", "/fleet")
+        doc = json.loads(body)
+        assert [n["healthy"] for n in doc["nodes"]] == [True, True], doc
+        assert doc["counters"]["router.failover"] == 0
 
 
 class TestHttp:
@@ -248,3 +288,34 @@ def test_timed_out_health_probe_closes_its_connection():
     assert not node.healthy
     assert node.last_error == "healthz: TimeoutError"
     assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def test_peek_on_a_silent_node_gives_up_after_the_peek_timeout(monkeypatch):
+    """A node that accepts a peek but never answers holds the router for
+    ``PEEK_TIMEOUT_S``, not for its node client's compute wait."""
+    from repro.fleet import router as router_module
+
+    monkeypatch.setattr(router_module, "PEEK_TIMEOUT_S", 0.2)
+
+    async def peek_silent_node():
+        held = []
+        server = await asyncio.start_server(
+            lambda reader, writer: held.append(writer), "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        router = FleetRouter(FleetSpec(nodes=(f"127.0.0.1:{port}",)))
+        (node,) = router.nodes.values()
+        start = time.monotonic()
+        try:
+            response = await router._route_peek(
+                protocol.Request(op="peek", params={"key": "k"}))
+            return response, time.monotonic() - start
+        finally:
+            await node.client.close()
+            for writer in held:
+                writer.close()
+            server.close()
+            await server.wait_closed()
+
+    response, elapsed = asyncio.run(peek_silent_node())
+    assert response["result"] == {"found": False, "result": None}
+    assert elapsed < 2.0

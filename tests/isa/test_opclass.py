@@ -6,7 +6,6 @@ from repro.isa.opclass import (
     MEMORY_CLASSES,
     OpClass,
     is_branch,
-    is_control,
     is_memory,
     writes_register,
 )
@@ -35,11 +34,6 @@ class TestPredicates:
         assert is_branch(OpClass.BRANCH)
         assert not is_branch(OpClass.JUMP)
         assert not is_branch(OpClass.LOAD)
-
-    def test_control_includes_jumps(self):
-        assert is_control(OpClass.JUMP)
-        assert is_control(OpClass.BRANCH)
-        assert not is_control(OpClass.STORE)
 
     def test_loads_write_registers(self):
         assert writes_register(OpClass.LOAD)

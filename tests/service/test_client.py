@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
 
@@ -249,3 +250,151 @@ class TestConnectionLoss:
         assert len(errors) == 4
         assert set(errors) <= {"ConnectionError", "ConnectionResetError",
                                "BrokenPipeError"}
+
+
+def _client_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-client"]
+
+
+class TestFacade:
+    """The blocking client runs the asyncio client on a private loop."""
+
+    def test_client_expiry_is_a_connection_error_then_it_reconnects(self):
+        def handler(frame):
+            if frame["op"] == "slow":
+                time.sleep(1.0)  # holds this connection past the timeout
+                return []
+            return [_ok(frame["id"], {"op": frame["op"]})]
+
+        with _ScriptedServer(handler) as server:
+            with ServiceClient(server.host, server.port,
+                               timeout=0.3) as client:
+                start = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    client.evaluate("slow")
+                assert time.monotonic() - start < 1.0
+                # the held connection would time this out too: only a
+                # fresh one answers it in time
+                assert client.evaluate("fast") == {"op": "fast"}
+
+    def test_close_fails_parked_requests_promptly(self):
+        arrived = threading.Semaphore(0)
+
+        def handler(frame):
+            arrived.release()
+            return []  # park every request
+
+        with _ScriptedServer(handler) as server:
+            client = ServiceClient(server.host, server.port,
+                                   timeout=30).connect()
+            errors = []
+
+            def call():
+                try:
+                    client.request("ping")
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for _ in threads:
+                assert arrived.acquire(timeout=5)
+            start = time.monotonic()
+            closer = threading.Thread(target=client.close)
+            closer.start()
+            closer.join(timeout=5)
+            for t in threads:
+                t.join(timeout=5)
+            elapsed = time.monotonic() - start
+        assert elapsed < 2.0
+        assert len(errors) == 4
+        assert all(isinstance(e, ConnectionError) for e in errors), errors
+
+    def test_requests_racing_close_get_their_answer_or_connection_error(self):
+        """Eight threads share one client while another keeps closing
+        it: each request gets its own answer or ConnectionError, never
+        another error and never a hang."""
+        def handler(frame):
+            return [_ok(frame["id"], {"echo": frame["op"]})]
+
+        outcomes = []
+        prior = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _ScriptedServer(handler) as server:
+                client = ServiceClient(server.host, server.port, timeout=5)
+
+                def call(i):
+                    for j in range(20):
+                        op = f"op{i}-{j}"
+                        try:
+                            ok = client.evaluate(op) == {"echo": op}
+                            outcomes.append("ok" if ok else "wrong answer")
+                        except ConnectionError:
+                            outcomes.append("closed")
+                        except Exception as exc:  # noqa: BLE001
+                            outcomes.append(repr(exc))
+
+                threads = [threading.Thread(target=call, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for _ in range(20):
+                    client.close()
+                    time.sleep(0.005)
+                for t in threads:
+                    t.join(timeout=30)
+                client.close()
+        finally:
+            sys.setswitchinterval(prior)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 160
+        assert set(outcomes) <= {"ok", "closed"}, set(outcomes)
+        assert _client_threads() == []
+
+    def test_failed_request_span_carries_its_request_id(self):
+        """The ``client.request`` span names the request id it sent,
+        including when no answer comes back."""
+        from repro.obs import spans as _spans
+
+        sent = []
+
+        def handler(frame):
+            sent.append(frame["id"])
+            return [None]  # scripted disconnect
+
+        _spans.enable(True)
+        _spans.reset()
+        try:
+            with _ScriptedServer(handler) as server:
+                with ServiceClient(server.host, server.port,
+                                   timeout=5) as client:
+                    with pytest.raises(ConnectionError):
+                        client.request("ping")
+            records = [s for s in _spans.drain()
+                       if s["name"] == "client.request"]
+        finally:
+            _spans.enable(False)
+            _spans.reset()
+        assert len(records) == 1
+        assert records[0]["attrs"]["request_id"] == sent[0]
+        assert records[0]["attrs"]["error"] == "ConnectionError"
+
+    def test_no_client_thread_outlives_the_client(self):
+        def handler(frame):
+            return [_ok(frame["id"], {})]
+
+        with _ScriptedServer(handler) as server:
+            with ServiceClient(server.host, server.port,
+                               timeout=5) as client:
+                client.evaluate("ping")
+                assert len(_client_threads()) == 1
+        assert _client_threads() == []
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ConnectionError):
+            ServiceClient("127.0.0.1", port, timeout=5).connect()
+        assert _client_threads() == []
