@@ -148,10 +148,12 @@ class FirstOrderModel:
             profile.icache_long_per_instruction * cfg.hierarchy.memory_latency
         )
 
+        # group the long misses once; the same products as
+        # DCachePenaltyModel.penalty_from_profile and .cpi_contribution
         dcache = self.dcache_model()
         overlap = profile.overlap_factor(cfg.rob_size)
-        dcache_penalty = dcache.penalty_from_profile(profile)
-        cpi_dcache = dcache.cpi_contribution(profile)
+        dcache_penalty = dcache.isolated_penalty * overlap
+        cpi_dcache = profile.dcache_long_per_instruction * dcache_penalty
 
         return ModelReport(
             name=profile.name,

@@ -6,8 +6,8 @@ apply the Little's-law correction with the workload's effective mean
 latency (short data-cache misses folded in), and clamp at the issue
 width.  The steady-state CPI is then the reciprocal of the issue rate at
 the machine's window size.  The unit-latency curve depends on the trace
-alone, so it is measured once per trace (:func:`unit_iw_curve`) and
-shared by every machine evaluated on it.
+alone, so it is measured and fitted once per trace (:func:`unit_iw_curve`,
+:func:`unit_iw_fit`) and shared by every machine evaluated on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.trace.trace import Trace
 from repro.window.characteristic import IWCharacteristic
 from repro.window.iw_simulator import DEFAULT_WINDOW_SIZES, IWCurve
 from repro.window.iw_simulator import measure_iw_curve
-from repro.window.powerlaw import fit_curve
+from repro.window.powerlaw import PowerLawFit, fit_curve
 
 
 def unit_iw_curve(
@@ -33,6 +33,18 @@ def unit_iw_curve(
                       lambda: measure_iw_curve(trace, window_sizes))
 
 
+def unit_iw_fit(
+    trace: Trace, window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
+) -> PowerLawFit:
+    """The power-law fit of :func:`unit_iw_curve`, memoized on the trace.
+
+    A miss calls this module's ``fit_curve``, so a wrapper installed on
+    that name counts every real fit."""
+    window_sizes = tuple(window_sizes)
+    return trace.memo(("iw_fit", window_sizes),
+                      lambda: fit_curve(unit_iw_curve(trace, window_sizes)))
+
+
 def build_characteristic(
     trace: Trace,
     config: MachineSpec,
@@ -45,7 +57,7 @@ def build_characteristic(
     latency; without it the static mix latency is used (no short-miss
     correction).
     """
-    fit = fit_curve(unit_iw_curve(trace, window_sizes))
+    fit = unit_iw_fit(trace, window_sizes)
     if profile is not None:
         latency = profile.effective_mean_latency(
             config.latency_table, config.hierarchy.l2_latency

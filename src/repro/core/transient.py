@@ -23,6 +23,7 @@ occupancy change ``W_ss - W_start`` and the ramp penalty is approximately
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.window.characteristic import IWCharacteristic
@@ -79,6 +80,23 @@ class RampResult:
     final_window: float
 
 
+def _rate_terms(
+    characteristic: IWCharacteristic,
+) -> tuple[float, float, float, float]:
+    """``(alpha, beta, latency, cap)`` for walking the curve without a
+    call per cycle.
+
+    Each walk cycle repeats :meth:`IWCharacteristic.issue_rate` float for
+    float — ``alpha * w ** beta / latency``, then the clamp to ``cap`` —
+    and spells each ``min(a, b)`` as "``a`` unless ``b < a``", so every
+    rate is bit-identical to the method's.  An unbounded width caps at
+    infinity, which never clamps.
+    """
+    c = characteristic
+    cap = math.inf if c.issue_width is None else float(c.issue_width)
+    return c.alpha, c.beta, c.latency, cap
+
+
 def steady_state_occupancy(
     characteristic: IWCharacteristic, window_size: int
 ) -> float:
@@ -107,13 +125,17 @@ def drain_transient(
     if start_window <= 0:
         raise ValueError("start window must be positive")
     steady_rate = characteristic.issue_rate(start_window)
+    alpha, beta, latency, cap = _rate_terms(characteristic)
     w = float(start_window)
     rates: list[float] = []
     issued = 0.0
     cycles = 0
     while w >= _DRAIN_FLOOR and cycles < _MAX_CYCLES:
-        rate = characteristic.issue_rate(w)
-        rate = min(rate, w)
+        rate = alpha * w ** beta / latency  # w >= 1: the curve is positive
+        if cap < rate:
+            rate = cap
+        if w < rate:
+            rate = w
         rates.append(rate)
         issued += rate
         w -= rate
@@ -147,14 +169,22 @@ def ramp_transient(
     steady_rate = characteristic.issue_rate(w_ss)
     target = _RAMP_FRACTION * steady_rate
 
+    alpha, beta, latency, cap = _rate_terms(characteristic)
+    full = float(window_size)
     w = float(start_window)
     rates: list[float] = []
     deficit = 0.0
     cycles = 0
     while cycles < _MAX_CYCLES:
         # dispatch this cycle's group, then issue from the enlarged window
-        w = min(w + dispatch_width, float(window_size))
-        rate = min(characteristic.issue_rate(w), w)
+        w = w + dispatch_width
+        if full < w:
+            w = full
+        rate = alpha * w ** beta / latency if w > 0 else 0.0
+        if cap < rate:
+            rate = cap
+        if w < rate:
+            rate = w
         rates.append(rate)
         deficit += steady_rate - rate
         w -= rate

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
-from repro.core.steady_state import unit_iw_curve
+from repro.core.steady_state import unit_iw_fit
 from repro.experiments.common import (
     BASELINE,
     Claim,
@@ -22,7 +22,6 @@ from repro.experiments.common import (
 )
 from repro.simulator.processor import DetailedSimulator
 from repro.trace.synthetic import generate_trace
-from repro.window.powerlaw import fit_curve
 
 BENCHMARKS = ("gzip", "vpr")
 LENGTHS = (4_000, 8_000, 16_000, 30_000, 60_000)
@@ -105,7 +104,7 @@ def run(
             trace = generate_trace(name, length, seed=seed)
             report = model.evaluate_trace(trace)
             profile = model.profile(trace)
-            fit = fit_curve(unit_iw_curve(trace))
+            fit = unit_iw_fit(trace)
             sim = DetailedSimulator(config.all_real()).run(trace)
             rows.append(
                 LengthRow(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.config import MachineSpec
 from repro.core.model import FirstOrderModel
-from repro.core.steady_state import unit_iw_curve
+from repro.core.steady_state import unit_iw_fit
 from repro.experiments.common import (
     BASELINE,
     DEFAULT_TRACE_LENGTH,
@@ -26,7 +26,6 @@ from repro.experiments.common import (
     WorkloadSpec,
     workload_for,
 )
-from repro.window.powerlaw import fit_curve
 
 #: the benchmarks of paper Table 1, with the paper's fitted values
 PAPER_VALUES = {
@@ -113,7 +112,7 @@ def run(
     model = FirstOrderModel(config)
     for name in benchmarks:
         trace = cached_trace(workload_for(workload, name, trace_length))
-        fit = fit_curve(unit_iw_curve(trace))
+        fit = unit_iw_fit(trace)
         profile = model.profile(trace)
         latency = profile.effective_mean_latency(
             config.latency_table, config.hierarchy.l2_latency

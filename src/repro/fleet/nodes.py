@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import selectors
 import signal
 import subprocess
 import sys
@@ -67,7 +68,7 @@ class NodeProc:
         """
         try:
             if self.alive:
-                self._signal_group(signal.SIGKILL)
+                _signal_group(self.process, signal.SIGKILL)
                 self.process.wait(timeout=10)
         finally:
             self.process.stdout.close()  # the ready-line pipe
@@ -83,11 +84,12 @@ class NodeProc:
         finally:
             self.process.stdout.close()
 
-    def _signal_group(self, sig: int) -> None:
-        try:
-            os.killpg(self.process.pid, sig)  # own group: setsid at spawn
-        except (ProcessLookupError, PermissionError):
-            self.process.kill()
+
+def _signal_group(process: subprocess.Popen, sig: int) -> None:
+    try:
+        os.killpg(process.pid, sig)  # own group: setsid at spawn
+    except (ProcessLookupError, PermissionError):
+        process.kill()
 
 
 def _node_environment(cache_dir: str) -> dict:
@@ -125,34 +127,62 @@ def spawn_node(node_id: str, cache_dir: str, workers: int | None = 1,
         cmd += ["--workers", str(workers)]
     process = subprocess.Popen(
         cmd, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True,
+        stderr=subprocess.DEVNULL,
         start_new_session=True)  # own group, so kill() can take all of it
+    try:
+        match = _await_ready_line(process, node_id, timeout)
+    except BaseException:
+        _discard(process)
+        raise
+    node = NodeProc(node_id=node_id, host=match.group(1),
+                    port=int(match.group(2)), process=process,
+                    cache_dir=str(cache_dir))
+    _log.info("node %s up at %s (pid %d)", node_id, node.address, node.pid)
+    return node
+
+
+def _await_ready_line(process: subprocess.Popen, node_id: str,
+                      timeout: float) -> re.Match:
+    """The ready line's match, read within ``timeout`` seconds.
+
+    Waits on the pipe with a selector against the remaining time, so a
+    child that stays alive without printing cannot hold the caller past
+    the deadline.
+    """
     deadline = time.monotonic() + timeout
+    fd = process.stdout.fileno()
+    pending = b""
     line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            if process.poll() is not None:
-                process.stdout.close()
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        while (remaining := deadline - time.monotonic()) > 0:
+            if not selector.select(remaining):
+                continue
+            chunk = os.read(fd, 4096)
+            if not chunk:  # stdout closed: wait out the child's exit
+                try:
+                    code = process.wait(timeout=remaining)
+                except subprocess.TimeoutExpired:
+                    break
                 raise RuntimeError(
-                    f"node {node_id} exited with {process.returncode} "
-                    "before binding")
-            time.sleep(0.05)
-            continue
-        match = READY_RE.search(line)
-        if match:
-            node = NodeProc(node_id=node_id, host=match.group(1),
-                            port=int(match.group(2)), process=process,
-                            cache_dir=str(cache_dir))
-            _log.info("node %s up at %s (pid %d)", node_id, node.address,
-                      node.pid)
-            return node
-    process.kill()
-    process.wait()
-    process.stdout.close()
+                    f"node {node_id} exited with {code} before binding")
+            *lines, pending = (pending + chunk).split(b"\n")
+            for raw in lines:
+                line = raw.decode(errors="replace")
+                match = READY_RE.search(line)
+                if match:
+                    return match
     raise RuntimeError(
         f"node {node_id} did not print a ready line within {timeout}s "
         f"(last: {line!r})")
+
+
+def _discard(process: subprocess.Popen) -> None:
+    """Kill a child that never became a node (its whole group), reap it
+    and close its pipe."""
+    _signal_group(process, signal.SIGKILL)
+    process.wait()
+    process.stdout.close()
 
 
 class LocalFleet:

@@ -344,10 +344,12 @@ def group_size_distribution(
         raise ValueError("window must be positive")
     if idx.size == 0:
         return np.zeros(0, dtype=float)
+    # grouped over Python ints: numpy scalars cost a boxing per event
+    events = idx.tolist()
     sizes: list[int] = []
-    anchor = idx[0]
+    anchor = events[0]
     current = 1
-    for k in idx[1:]:
+    for k in events[1:]:
         if k - anchor < window:
             current += 1
         else:

@@ -12,8 +12,10 @@ from repro.core.steady_state import (
     build_characteristic,
     steady_state_cpi,
     steady_state_ipc,
+    unit_iw_fit,
 )
 from repro.frontend.collector import collect_events
+from repro.window.powerlaw import fit_curve
 
 
 class TestSteadyState:
@@ -164,6 +166,29 @@ class TestPerTraceMemo:
         for machine in SWEEP_MACHINES:
             FirstOrderModel(machine).evaluate_trace(trace)
         assert counted == {"iw": 1, "collect": 3}
+
+    def test_machine_sweep_fits_each_trace_once(self, gzip_trace,
+                                                monkeypatch):
+        from repro.core import steady_state
+
+        fits = []
+
+        def counting(curve, *args, **kwargs):
+            fits.append(tuple(curve.window_sizes))
+            return fit_curve(curve, *args, **kwargs)
+
+        monkeypatch.setattr(steady_state, "fit_curve", counting)
+        trace = gzip_trace[:]  # a copy with an empty memo
+        for _ in range(2):
+            for machine in SWEEP_MACHINES:
+                FirstOrderModel(machine).evaluate_trace(trace)
+        assert len(fits) == 1
+        # the window sizes key the fit: another set is a second fit
+        narrow = unit_iw_fit(trace, (2, 4, 8))
+        assert fits[1:] == [(2, 4, 8)]
+        assert unit_iw_fit(trace, [2, 4, 8]) is narrow
+        assert unit_iw_fit(trace) is not narrow
+        assert len(fits) == 2
 
     def test_memoized_reports_equal_fresh_ones(self, gzip_trace):
         shared = gzip_trace[:]

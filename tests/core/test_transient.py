@@ -1,10 +1,15 @@
 """Tests for the drain/ramp transient machinery (paper Figure 8)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import transient
 from repro.core.transient import (
+    DrainResult,
+    RampResult,
     branch_transient,
     drain_transient,
     ramp_transient,
@@ -149,3 +154,69 @@ class TestTransientProperties:
         assert bt.drain.penalty >= -1e-9
         assert bt.ramp.penalty >= -1e-9
         assert bt.total_penalty >= depth
+
+
+def reference_drain(ch, start_window):
+    """The drain walk spelled through ``issue_rate`` and ``min``."""
+    steady_rate = ch.issue_rate(start_window)
+    w = float(start_window)
+    rates, issued, cycles = [], 0.0, 0
+    while w >= 1.0 and cycles < transient._MAX_CYCLES:
+        rate = min(ch.issue_rate(w), w)
+        rates.append(rate)
+        issued += rate
+        w -= rate
+        cycles += 1
+    return DrainResult(cycles=cycles, instructions=issued,
+                       penalty=cycles - issued / steady_rate,
+                       rates=tuple(rates), final_window=w)
+
+
+def reference_ramp(ch, dispatch_width, window_size, start_window=0.0):
+    """The ramp walk spelled through ``issue_rate`` and ``min``."""
+    steady_rate = ch.issue_rate(steady_state_occupancy(ch, window_size))
+    target = 0.99 * steady_rate
+    w = float(start_window)
+    rates, deficit, cycles = [], 0.0, 0
+    while cycles < transient._MAX_CYCLES:
+        w = min(w + dispatch_width, float(window_size))
+        rate = min(ch.issue_rate(w), w)
+        rates.append(rate)
+        deficit += steady_rate - rate
+        w -= rate
+        cycles += 1
+        if rate >= target or w >= window_size:
+            break
+    return RampResult(cycles=cycles, penalty=deficit / steady_rate,
+                      rates=tuple(rates), final_window=w)
+
+
+CONTRACT_GRID = list(itertools.product(
+    (0.3, 1.0, 1.7),            # alpha
+    (0.2, 0.5, 0.77, 1.0),      # beta
+    (1.0, 1.3, 2.9),            # latency
+    (None, 2, 4, 8),            # issue width
+))
+
+
+class TestFloatContract:
+    """The walks inline ``issue_rate``; every float must still match the
+    method's, bit for bit (``==`` on every field, the rates included).
+    A short cycle cap keeps the ramps that never reach steady state
+    (dispatch slower than the steady rate) cheap, and covers the cap."""
+
+    @pytest.mark.parametrize("alpha,beta,latency,width", CONTRACT_GRID)
+    def test_walks_match_reference(self, alpha, beta, latency, width,
+                                   monkeypatch):
+        monkeypatch.setattr(transient, "_MAX_CYCLES", 400)
+        ch = IWCharacteristic(alpha=alpha, beta=beta, latency=latency,
+                              issue_width=width)
+        for window in (1, 3, 16, 48, 200):
+            start = steady_state_occupancy(ch, window)
+            for drain_start in (start, 0.5, 7.25):
+                assert drain_transient(ch, drain_start) == (
+                    reference_drain(ch, drain_start))
+            for dispatch in (1, 4):
+                for ramp_start in (0.0, 0.5, 3.0, 11.7):
+                    assert ramp_transient(ch, dispatch, window, ramp_start) \
+                        == reference_ramp(ch, dispatch, window, ramp_start)

@@ -139,6 +139,32 @@ class TestGroupSizeDistribution:
         with pytest.raises(ValueError):
             group_size_distribution(np.array([1]), window=0)
 
+    @pytest.mark.parametrize("high", [5_000, 2**31 - 7, 2**40])
+    def test_matches_numpy_scalar_grouping(self, high):
+        """Grouping over Python ints equals the numpy-scalar loop, with
+        duplicates and indices beyond 32 bits."""
+        rng = np.random.default_rng(high)
+        for _ in range(40):
+            events = np.sort(rng.integers(high - 4_000, high + 4_000,
+                                          size=int(rng.integers(1, 120))))
+            events[1::7] = events[0::7][:len(events[1::7])]  # duplicates
+            events.sort()
+            window = int(rng.integers(1, 600))
+            sizes, anchor, current = [], events[0], 1
+            for k in events[1:]:
+                if k - anchor < window:
+                    current += 1
+                else:
+                    sizes.append(current)
+                    anchor, current = k, 1
+            sizes.append(current)
+            counts = np.bincount(np.array(sizes))[1:]
+            weighted = counts * np.arange(1, len(counts) + 1)
+            expected = weighted / weighted.sum()
+            f = group_size_distribution(events, window)
+            assert f.dtype == expected.dtype
+            assert f.tolist() == expected.tolist()
+
     @given(
         st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
         st.integers(1, 500),
