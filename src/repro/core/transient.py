@@ -161,7 +161,9 @@ def ramp_transient(
 
     The steady-state rate is evaluated at
     :func:`steady_state_occupancy`; the ramp is complete when the issue
-    rate reaches ``_RAMP_FRACTION`` of it (or the window fills).
+    rate reaches ``_RAMP_FRACTION`` of it (or the window fills).  Raises
+    :class:`ValueError` when neither happens within ``_MAX_CYCLES``
+    cycles, as when the dispatch width is below the steady-state rate.
     """
     if dispatch_width < 1:
         raise ValueError("dispatch width must be >= 1")
@@ -191,6 +193,12 @@ def ramp_transient(
         cycles += 1
         if rate >= target or w >= window_size:
             break
+    else:
+        raise ValueError(
+            f"ramp-up never completes: after {_MAX_CYCLES} cycles the issue "
+            f"rate is {rate:.4g}, below {_RAMP_FRACTION:.0%} of the "
+            f"steady-state rate {steady_rate:.4g} (dispatch width "
+            f"{dispatch_width})")
     penalty = deficit / steady_rate
     return RampResult(
         cycles=cycles,

@@ -2,8 +2,8 @@
 
 Every module exposes ``run(...) -> <Result>`` where the result offers
 ``format()`` (the paper-style rows) and ``checks()`` (the paper's
-qualitative claims evaluated on the measured data).  Modules are also
-runnable as scripts: ``python -m repro.experiments.fig15_overall``.
+qualitative claims evaluated on the measured data).  Run one with
+``python -m repro experiment fig15_overall``.
 
 | module                | paper artifact |
 |-----------------------|----------------|

@@ -91,10 +91,3 @@ def run(
             IWCurveRow(benchmark=name, curve=curve, fit=fit_curve(curve))
         )
     return IWCurvesResult(window_sizes=window_sizes, rows=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

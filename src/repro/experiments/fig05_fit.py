@@ -101,10 +101,3 @@ def run(
                 )
             )
     return FitResult(rows=tuple(rows), fits=fits)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -96,10 +96,3 @@ def run(
     return LimitedWidthResult(
         benchmark=benchmark, window_sizes=window_sizes, ipcs=ipcs
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

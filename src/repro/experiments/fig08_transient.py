@@ -97,10 +97,3 @@ def run(
             characteristic, pipeline_depth, issue_width, window_size
         )
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

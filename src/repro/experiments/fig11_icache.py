@@ -120,10 +120,3 @@ def run(
         skipped=tuple(skipped),
         miss_delay=config.hierarchy.l2_latency,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -161,10 +161,3 @@ def run(
         skipped=tuple(skipped),
         miss_delay=config.hierarchy.memory_latency,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

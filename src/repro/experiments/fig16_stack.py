@@ -163,10 +163,3 @@ def run(
     return StackResult(
         stacks=tuple(stacks), measured=tuple(measured_stacks)
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

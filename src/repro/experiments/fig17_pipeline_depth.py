@@ -99,10 +99,3 @@ def run(
     return DepthSweepResult(
         sweeps=pipeline_depth_sweep(depths, issue_widths)
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -103,10 +103,3 @@ def run(
         target_fractions=target_fractions,
         distances=distances,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

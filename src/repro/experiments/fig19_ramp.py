@@ -93,10 +93,3 @@ def run(
             for w in issue_widths
         }
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

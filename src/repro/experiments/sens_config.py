@@ -174,10 +174,3 @@ def run(
             )
         )
     return ConfigSweepResult(points=tuple(points))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -114,10 +114,3 @@ def run(
                 )
             )
     return LengthSweepResult(rows=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

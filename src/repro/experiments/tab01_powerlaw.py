@@ -124,10 +124,3 @@ def run(
             )
         )
     return PowerLawResult(rows=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

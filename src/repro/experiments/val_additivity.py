@@ -150,12 +150,3 @@ def run(
             )
         )
     return AdditivityResult(rows=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    print()
-    print(result.render())
-    for claim in result.checks():
-        print(claim)

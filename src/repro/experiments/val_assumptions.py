@@ -144,10 +144,3 @@ def run(
         window_size=config.window_size,
         rob_size=config.rob_size,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -227,10 +227,3 @@ def run(
         results.append(_pair_result(spec, "gzip+ingested"))
     return CoRunValidationResult(pairs=tuple(results),
                                  skipped=tuple(skipped))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run()
-    print(result.format())
-    for claim in result.checks():
-        print(claim)

@@ -14,11 +14,14 @@ Layout and integrity
 --------------------
 Artifacts live under ``<root>/<kind>/<key[:2]>/<key>.pkl`` where ``root``
 defaults to ``$XDG_CACHE_HOME/repro-firstorder`` (or
-``~/.cache/repro-firstorder``).  Writes go to a temporary file in the
-same directory and are published with :func:`os.replace`, so readers
-never observe a partial artifact.  A corrupt or unreadable entry is
-treated as a miss and recomputed (then overwritten); the cache is purely
-an accelerator and can be deleted at any time.
+``~/.cache/repro-firstorder``).  Traces are the exception: they are not
+pickled, and their one disk form is the chunk store, content-addressed
+``<root>/chunks/<key[:2]>/<key>.rtc`` payloads plus a pickled
+``trace_chunks`` manifest per workload.  Writes go to a temporary file
+in the same directory and are published with :func:`os.replace`, so
+readers never observe a partial artifact.  A corrupt or unreadable
+entry is treated as a miss and recomputed (then overwritten); the cache
+is purely an accelerator and can be deleted at any time.
 
 Environment
 -----------
@@ -47,9 +50,10 @@ The in-process trace layer
 :class:`~repro.trace.trace.Trace` object for the same workload — and
 with it the same :meth:`~repro.trace.trace.Trace.memo` (dependences, IW
 curve, functional profile).  The layer never outlives the store: it
-serves an entry only while that trace's artifact still exists under the
-current cache root (or while the cache is disabled, or when the store
-could not write it), and it empties itself when the cache root changes.
+serves an entry only while that trace's chunk manifest still exists
+under the current cache root (or while the cache is disabled, or when
+the store could not write it), and it empties itself when the cache
+root changes.
 It is bounded by the instructions it holds, not by an entry count.
 """
 
@@ -337,18 +341,18 @@ class TraceLayer:
     """The in-process trace layer: LRU over at most ``budget``
     instructions of traces, keyed by trace artifact key.
 
-    An entry whose artifact was on disk when it was put is served only
-    while that artifact still exists under the current cache root; one
-    put while the cache was disabled, or whose store failed (a read-only
-    or full root), is served as is.  A change of cache root empties the
-    layer.  A trace longer than the budget is never held.  All methods
-    are thread-safe.
+    An entry put with the path of its stored chunk manifest, while that
+    manifest existed, is served only while the manifest still exists
+    under the current cache root; one put while the cache was disabled,
+    or whose store failed (a read-only or full root), is served as is.
+    A change of cache root empties the layer.  A trace longer than the
+    budget is never held.  All methods are thread-safe.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self._lock = threading.Lock()
-        #: key -> (trace, whether its artifact was on disk when put)
+        #: key -> (trace, its manifest's path if stored when put, else None)
         self._traces: OrderedDict[str, tuple] = OrderedDict()
         self._held = 0
         self._root: Path | None = None
@@ -360,18 +364,19 @@ class TraceLayer:
             entry = self._traces.get(key)
             if entry is None:
                 return None
-            trace, backed = entry
-            if (backed and cache_enabled()
-                    and not _artifact_path("trace", key).exists()):
+            trace, manifest = entry
+            if (manifest is not None and cache_enabled()
+                    and not manifest.exists()):
                 del self._traces[key]
                 self._held -= len(trace)
                 return None
             self._traces.move_to_end(key)
             return trace
 
-    def put(self, key: str, trace):
+    def put(self, key: str, trace, manifest: Path | None = None):
         """Hold ``trace`` (evicting the least recently used); returns the
-        trace now held for ``key``, so racing callers converge on one."""
+        trace now held for ``key``, so racing callers converge on one.
+        ``manifest`` is where the trace's chunk manifest is stored."""
         size = len(trace)
         if size > self.budget:
             return trace
@@ -380,12 +385,13 @@ class TraceLayer:
             held = self._traces.get(key)
             if held is not None:
                 return held[0]
-            backed = (cache_enabled()
-                      and _artifact_path("trace", key).exists())
+            if not (manifest is not None and cache_enabled()
+                    and manifest.exists()):
+                manifest = None
             while self._held + size > self.budget:
                 _, (old, _) = self._traces.popitem(last=False)
                 self._held -= len(old)
-            self._traces[key] = (trace, backed)
+            self._traces[key] = (trace, manifest)
             self._held += size
             return trace
 
@@ -424,45 +430,56 @@ def trace_artifact(benchmark: str, length: int, seed: int | None = None):
     (via :class:`repro.spec.WorkloadSpec`), so the two spellings of the
     default share one cache entry.
 
-    Misses route through the chunk store: the trace is generated (or
-    mmap-served) chunk-wise by :func:`trace_chunk_stream` — publishing
-    the content-addressed payloads as a side effect, so a later
-    streaming run of the same workload mmaps them — and materialized
-    for this whole-trace contract.  Synthetic generation is the
-    vectorized chunked generator, byte-identical to the original scalar
-    generator (an equivalence the test suite enforces per profile);
-    ingested traces mmap their stored chunks.
+    Traces are not pickled: their disk form is the chunk store.  A miss
+    materializes :func:`trace_chunk_stream`, which reads the stored
+    chunks when the workload's manifest exists and otherwise generates
+    the trace, publishing its content-addressed payloads and manifest
+    (so a later streaming run of the same workload mmaps them).  A
+    stored manifest counts as a ``trace`` cache hit, a generation as a
+    miss.  Synthetic generation is the vectorized chunked generator,
+    byte-identical to the original scalar generator (an equivalence the
+    test suite enforces per profile); ingested traces are served from
+    their stored chunks.
 
     In front of the disk sits the in-process :class:`TraceLayer`: a
     repeat returns the very same ``Trace`` object (and so its memo),
     counted as a ``trace`` cache hit.
     """
     from repro.spec.specs import WorkloadSpec
+    from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
 
     workload = WorkloadSpec(benchmark, length, seed)
-    recipe = workload.canonical()
-    key = artifact_key("trace", recipe)
+    key = artifact_key("trace", workload.canonical())
     trace = _TRACES.get(key)
     if trace is not None:
         with _spans.span("artifact.trace", content_key=key, hit=True,
                          layer="memory"):
             _STATS._bump(_STATS.hits, "trace")
             return trace
-    resolved = workload.resolved_seed()
-    trace = cached_artifact(
-        "trace", recipe,
-        lambda: trace_chunk_stream(
-            workload.benchmark, workload.length, resolved).materialize(),
-    )
-    return _TRACES.put(key, trace)
+    _, chunked, _, manifest_key = _chunk_recipe(
+        workload.benchmark, workload.length, workload.seed)
+    manifest = _artifact_path(
+        "ingest" if chunked is None else "trace_chunks", manifest_key)
+    with _spans.span("artifact.trace", content_key=key) as sp:
+        stored = cache_enabled() and manifest.exists()
+        if cache_enabled():
+            _STATS._bump(_STATS.hits if stored else _STATS.misses, "trace")
+        sp.set(hit=stored)
+        # one chunk is read into memory, so a held trace keeps no file
+        # mapped (a mapping holds a descriptor open); more are mapped,
+        # as joining them copies anyway
+        trace = trace_chunk_stream(
+            workload.benchmark, workload.length, workload.seed,
+            mmap=workload.length > DEFAULT_CHUNK_SIZE).materialize()
+    return _TRACES.put(key, trace, manifest)
 
 
 # -- the chunk store ---------------------------------------------------------
 #
-# Long traces are cached *chunk-wise*: each chunk is one mmap-able
-# ``.rtc`` container stored under its own content hash, and a tiny
-# manifest (a normal pickled artifact of kind ``trace_chunks``) maps a
-# workload recipe to its ordered chunk keys.  Because payloads are
+# Traces are stored *chunk-wise*: each chunk is one mmap-able ``.rtc``
+# container stored under its own content hash, and a tiny manifest (a
+# normal pickled artifact of kind ``trace_chunks``) maps a workload
+# recipe to its ordered chunk keys.  Because payloads are
 # content-addressed, byte-identical chunks deduplicate across recipes
 # (e.g. the same workload requested under two chunk-compatible recipes).
 # Note that *different lengths do not share prefix chunks*: the seed
@@ -476,8 +493,26 @@ def chunk_payload_path(key: str) -> Path:
     return cache_root() / "chunks" / key[:2] / f"{key}.rtc"
 
 
-def _manifest_recipe(workload, chunk_size: int) -> dict:
-    return workload.canonical() | {"chunk_size": int(chunk_size)}
+def _chunk_recipe(benchmark: str, length: int | None = None,
+                  seed: int | None = None, chunk_size: int | None = None):
+    """``(ref, workload, chunk_size, manifest_key)`` for a workload
+    reference, with a profile's defaults filled in.  An ``ingest:<key>``
+    reference has no workload (``None``) and keeps the requested chunk
+    size; its manifest is its ``ingest`` artifact."""
+    from repro.spec.specs import WorkloadSpec
+    from repro.trace.profiles import get_profile
+    from repro.trace.sources import parse_benchmark
+    from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
+
+    scheme, ref = parse_benchmark(benchmark)
+    if scheme == "ingest":
+        return ref, None, chunk_size, ref
+    profile = get_profile(ref)
+    n = profile.default_length if length is None else int(length)
+    cs = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
+    workload = WorkloadSpec(ref, n, seed)
+    return ref, workload, cs, artifact_key(
+        "trace_chunks", workload.canonical() | {"chunk_size": cs})
 
 
 def trace_chunk_manifest(benchmark: str, length: int | None = None,
@@ -491,21 +526,12 @@ def trace_chunk_manifest(benchmark: str, length: int | None = None,
     workload this is the stored ingest manifest (which additionally
     carries a ``provenance`` section).
     """
-    from repro.spec.specs import WorkloadSpec
-    from repro.trace.profiles import get_profile
-    from repro.trace.sources import parse_benchmark
-    from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
-
-    scheme, ref = parse_benchmark(benchmark)
-    if scheme == "ingest":
+    ref, workload, _, key = _chunk_recipe(benchmark, length, seed,
+                                          chunk_size)
+    if workload is None:
         from repro import ingest as _ingest
 
         return _ingest.ingest_manifest(ref)
-    profile = get_profile(ref)
-    n = profile.default_length if length is None else int(length)
-    cs = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-    workload = WorkloadSpec(ref, n, seed)
-    key = artifact_key("trace_chunks", _manifest_recipe(workload, cs))
     found, manifest = probe_artifact("trace_chunks", key)
     return manifest if found else None
 
@@ -531,30 +557,25 @@ def trace_chunk_stream(benchmark: str, length: int | None = None,
     payloads, and keeps yielding — consumers never observe the
     corruption.
     """
-    from repro.spec.specs import WorkloadSpec
     from repro.trace.chunks import TraceChunkStream
     from repro.trace.profiles import get_profile
-    from repro.trace.sources import parse_benchmark
-    from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
 
-    scheme, ref = parse_benchmark(benchmark)
-    if scheme == "ingest":
+    ref, workload, cs, manifest_key = _chunk_recipe(
+        benchmark, length, seed, chunk_size)
+    if workload is None:
         from repro import ingest as _ingest
 
         return _ingest.ingest_chunk_stream(
             ref, length=length, chunk_size=chunk_size, mmap=mmap)
-    profile = get_profile(ref)
-    n = profile.default_length if length is None else int(length)
-    cs = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
+    n = workload.length
     if cs <= 0:
         raise ValueError("chunk_size must be positive")
-    workload = WorkloadSpec(ref, n, seed)
     resolved = workload.resolved_seed()
 
     def generate():
         from repro.trace.vectorgen import ChunkedTraceGenerator
 
-        gen = ChunkedTraceGenerator(profile)
+        gen = ChunkedTraceGenerator(get_profile(ref))
         chunks = gen.chunks(length=n, seed=resolved, chunk_size=cs)
         if not _spans.enabled():
             return chunks
@@ -562,13 +583,6 @@ def trace_chunk_stream(benchmark: str, length: int | None = None,
 
     def source():
         if not cache_enabled():
-            yield from generate()
-            return
-        try:
-            manifest_key = artifact_key(
-                "trace_chunks", _manifest_recipe(workload, cs))
-        except UncacheableError:
-            _STATS.uncacheable += 1
             yield from generate()
             return
         manifest = _load("trace_chunks", manifest_key)

@@ -73,7 +73,8 @@ class RunnerStats:
 
     @property
     def trace_computes(self) -> int:
-        """Traces actually generated (cache misses + uncached runs)."""
+        """Traces generated through the artifact cache (its ``trace``
+        misses); a generation while the cache is disabled counts nowhere."""
         return self.cache.misses.get("trace", 0)
 
     @property

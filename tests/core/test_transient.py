@@ -89,6 +89,18 @@ class TestRamp:
         with pytest.raises(ValueError):
             ramp_transient(square(), 0, 48)
 
+    def test_dispatch_below_the_steady_rate_raises(self):
+        """Dispatching 2 per cycle into a width-4 machine stalls the
+        issue rate near 2: no steady state, so no cap-sized answer."""
+        with pytest.raises(ValueError, match="never completes"):
+            ramp_transient(square(), 2, 48)
+
+    def test_branch_penalty_model_rejects_a_stalled_ramp(self):
+        from repro.core.branch_penalty import BranchPenaltyModel
+
+        with pytest.raises(ValueError, match="never completes"):
+            BranchPenaltyModel.build(square(), 5, 2, 48)
+
 
 class TestBranchTransient:
     def test_paper_figure8_total(self):
@@ -173,7 +185,8 @@ def reference_drain(ch, start_window):
 
 
 def reference_ramp(ch, dispatch_width, window_size, start_window=0.0):
-    """The ramp walk spelled through ``issue_rate`` and ``min``."""
+    """The ramp walk spelled through ``issue_rate`` and ``min``; ``None``
+    when it ends at the cycle cap without completing."""
     steady_rate = ch.issue_rate(steady_state_occupancy(ch, window_size))
     target = 0.99 * steady_rate
     w = float(start_window)
@@ -187,6 +200,8 @@ def reference_ramp(ch, dispatch_width, window_size, start_window=0.0):
         cycles += 1
         if rate >= target or w >= window_size:
             break
+    else:
+        return None
     return RampResult(cycles=cycles, penalty=deficit / steady_rate,
                       rates=tuple(rates), final_window=w)
 
@@ -203,7 +218,9 @@ class TestFloatContract:
     """The walks inline ``issue_rate``; every float must still match the
     method's, bit for bit (``==`` on every field, the rates included).
     A short cycle cap keeps the ramps that never reach steady state
-    (dispatch slower than the steady rate) cheap, and covers the cap."""
+    (dispatch slower than the steady rate) cheap, and covers the cap:
+    where the reference walk ends there without completing, the ramp
+    must raise."""
 
     @pytest.mark.parametrize("alpha,beta,latency,width", CONTRACT_GRID)
     def test_walks_match_reference(self, alpha, beta, latency, width,
@@ -218,5 +235,11 @@ class TestFloatContract:
                     reference_drain(ch, drain_start))
             for dispatch in (1, 4):
                 for ramp_start in (0.0, 0.5, 3.0, 11.7):
-                    assert ramp_transient(ch, dispatch, window, ramp_start) \
-                        == reference_ramp(ch, dispatch, window, ramp_start)
+                    expected = reference_ramp(ch, dispatch, window,
+                                              ramp_start)
+                    if expected is None:
+                        with pytest.raises(ValueError, match="never"):
+                            ramp_transient(ch, dispatch, window, ramp_start)
+                    else:
+                        assert ramp_transient(
+                            ch, dispatch, window, ramp_start) == expected

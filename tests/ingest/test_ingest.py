@@ -199,6 +199,31 @@ class TestWorkloadSpecIntegration:
         assert manifest["length"] == 5000
         assert "provenance" in manifest
 
+    def test_trace_artifact_serves_from_the_ingest_manifest(self, foreign):
+        path, trace = foreign
+        result = ingest.ingest_file(path)
+        first = artifacts.trace_artifact(result.benchmark, result.length)
+        artifacts._TRACES.clear()
+        artifacts.reset_cache_stats()
+        again = artifacts.trace_artifact(result.benchmark, result.length)
+        assert again is not first
+        for col in ("pc", "opclass", "dst", "src1", "src2", "addr",
+                    "taken", "target"):
+            assert np.array_equal(getattr(again, col),
+                                  getattr(trace, col)), col
+        assert artifacts.cache_stats().hits["trace"] == 1
+        assert "trace" not in artifacts.cache_stats().misses
+        # the layer serves the trace only while its ingest manifest exists
+        stored = (artifacts.cache_root() / "ingest" / result.key[:2]
+                  / f"{result.key}.pkl")
+        saved = stored.read_bytes()
+        stored.unlink()
+        try:
+            with pytest.raises(ingest.IngestError, match="repro ingest"):
+                artifacts.trace_artifact(result.benchmark, result.length)
+        finally:
+            stored.write_bytes(saved)
+
     def test_corrupt_chunk_names_the_remedy(self, foreign, tmp_path):
         path, _ = foreign
         key = ingest.ingest_file(path).key

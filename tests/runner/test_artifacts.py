@@ -147,7 +147,7 @@ class TestTraceLayer:
 
     def test_never_outlives_the_stored_artifact(self):
         first = trace_artifact("gzip", 2_000)
-        for path in (cache_root() / "trace").rglob("*.pkl"):
+        for path in (cache_root() / "trace_chunks").rglob("*.pkl"):
             path.unlink()
         again = trace_artifact("gzip", 2_000)
         assert again is not first
@@ -238,6 +238,79 @@ class TestTraceLayer:
         assert not any(t.is_alive() for t in threads)
         held = sum(len(t) for t, _ in layer._traces.values())
         assert layer._held == held <= 100
+
+
+def _assert_same_columns(a, b):
+    from repro.trace.trace import _COLUMNS
+
+    for col, _ in _COLUMNS:
+        assert np.array_equal(getattr(a, col), getattr(b, col)), col
+
+
+class TestTraceStore:
+    """The chunk store is a trace's only disk form."""
+
+    def test_cold_miss_stores_one_manifest_and_its_payloads(self):
+        from repro.runner.artifacts import (
+            chunk_payload_path,
+            trace_chunk_manifest,
+        )
+
+        trace_artifact("gzip", 2_000)
+        root = cache_root()
+        assert not (root / "trace").exists()
+        assert len(list((root / "trace_chunks").rglob("*.pkl"))) == 1
+        manifest = trace_chunk_manifest("gzip", 2_000)
+        payloads = {chunk_payload_path(k) for k in manifest["keys"]}
+        assert set((root / "chunks").rglob("*.rtc")) == payloads
+
+    def test_emptied_layer_materializes_from_the_manifest(self,
+                                                          monkeypatch):
+        from repro.runner import artifacts
+        from repro.trace.vectorgen import ChunkedTraceGenerator
+
+        first = trace_artifact("gzip", 2_000)
+        artifacts._TRACES.clear()
+        reset_cache_stats()
+        calls = []
+        chunks = ChunkedTraceGenerator.chunks
+        monkeypatch.setattr(
+            ChunkedTraceGenerator, "chunks",
+            lambda *a, **kw: calls.append(1) or chunks(*a, **kw))
+        again = trace_artifact("gzip", 2_000)
+        assert again is not first
+        assert calls == []
+        _assert_same_columns(again, first)
+        assert cache_stats().hits["trace"] == 1
+        assert "trace" not in cache_stats().misses
+
+    def test_torn_payload_regenerates_the_right_bytes(self):
+        from repro.runner import artifacts
+
+        first = trace_artifact("gzip", 2_000)
+        (key,) = artifacts.trace_chunk_manifest("gzip", 2_000)["keys"]
+        path = artifacts.chunk_payload_path(key)
+        path.write_bytes(path.read_bytes()[:100])  # a torn write
+        artifacts._TRACES.clear()
+        reset_cache_stats()
+        again = trace_artifact("gzip", 2_000)
+        _assert_same_columns(again, first)
+        assert cache_stats().errors == 1
+        assert path.stat().st_size > 100  # republished
+
+    def test_a_pickled_trace_is_never_read(self):
+        from repro.runner import artifacts
+
+        key = artifact_key("trace", WorkloadSpec("gzip", 2_000).canonical())
+        stale = cache_root() / "trace" / key[:2] / f"{key}.pkl"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"not a pickle")
+        first = trace_artifact("gzip", 2_000)
+        artifacts._TRACES.clear()
+        again = trace_artifact("gzip", 2_000)
+        _assert_same_columns(again, first)
+        assert cache_stats().errors == 0
+        assert stale.read_bytes() == b"not a pickle"
 
 
 def _hammer_store(args):

@@ -94,19 +94,24 @@ class TestSpecOnlyCacheKeys:
 
     def test_trace_artifact_uses_canonical_key_only(self):
         from repro.runner import artifacts
+        from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
 
+        chunked = {"chunk_size": DEFAULT_CHUNK_SIZE}
         trace = artifacts.trace_artifact("gzip", 600, None)
         new_key = artifacts.artifact_key(
-            "trace", WorkloadSpec("gzip", length=600).canonical())
-        found, stored = artifacts.probe_artifact("trace", new_key)
-        assert found and len(stored) == len(trace)
+            "trace_chunks",
+            WorkloadSpec("gzip", length=600).canonical() | chunked)
+        found, stored = artifacts.probe_artifact("trace_chunks", new_key)
+        assert found and sum(stored["sizes"]) == len(trace)
 
-        # a legacy-shaped entry is never probed: wipe the canonical one
-        # and the artifact is regenerated, not served from the old key
+        # a legacy-shaped manifest is never probed: wipe the canonical one
+        # and the trace is regenerated, not served from the old key
         legacy_key = artifacts.artifact_key(
-            "trace", {"benchmark": "gzip", "length": 600, "seed": None})
-        artifacts.store_artifact("trace", legacy_key, "stale-payload")
-        for path in (artifacts.cache_root() / "trace").rglob(f"{new_key}*"):
+            "trace_chunks",
+            {"benchmark": "gzip", "length": 600, "seed": None} | chunked)
+        artifacts.store_artifact("trace_chunks", legacy_key, "stale-payload")
+        for path in (artifacts.cache_root() / "trace_chunks").rglob(
+                f"{new_key}*"):
             path.unlink()
         artifacts.reset_cache_stats()
         again = artifacts.trace_artifact("gzip", 600, None)
