@@ -21,6 +21,13 @@ the PCG64 tape emits every instruction, and requires the same flat peak
 at 50k and 200k instructions: the walk's tape window must not grow with
 the trace.
 
+A fast-decoder case generates whole gzip traces of 30k and 120k
+instructions on the fast span decoder.  The decoder's tables cover about
+six tape tokens per instruction of a span, and a span holds at most
+``_fastcore._SPAN_MAX`` instructions, so the peak is held to a budget
+built from that cap alone, and its growth between the two lengths to the
+longer trace's extra bytes plus a small margin.
+
 The last case runs the shared-L2 co-run pass
 (:func:`repro.corun.contention.run_contended_pass`) over two streamed
 workloads at 50k and 200k instructions each.  That pass is not O(chunk):
@@ -50,7 +57,7 @@ from repro.corun.interleave import interleave_order
 from repro.frontend.collector import CollectorConfig
 from repro.simulator.streaming import simulate_stream
 from repro.telemetry.session import Telemetry
-from repro.trace._fastcore import _FastCore
+from repro.trace._fastcore import _SPAN_MAX, _FastCore
 from repro.trace.chunks import TraceChunkStream, chunk_layout
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import _Session
@@ -64,6 +71,15 @@ from repro.trace.vectorgen import (
 #: in the short run, so both runs hold a full chunk at their peak)
 WALK_LENGTHS = (50_000, 200_000)
 WALK_CHUNK = 1 << 14
+
+#: the fast-decoder case: whole-trace lengths (two spans and eight)
+FAST_LENGTHS = (30_000, 120_000)
+#: allowed peak bytes per instruction of the span cap: about six tape
+#: tokens of tables at about 100 B a token, plus the span's temporaries
+#: (about 1.1 KiB measured)
+SPAN_BYTES = 1536
+#: allowed peak growth beyond the longer trace's extra payload bytes
+FAST_MARGIN = 1 << 20
 
 #: the co-run case: workloads, per-workload lengths and chunk size
 #: (many chunks, so the references and annotations dominate the peak)
@@ -116,6 +132,43 @@ def walk_guard(benchmark: str, budget_chunks: float,
     if growth > growth_limit:
         print("FAIL: walk-only generation grows with trace length — the "
               "tape window is no longer bounded", file=sys.stderr)
+        return False
+    return True
+
+
+def fast_guard(benchmark: str) -> bool:
+    """Whole-trace generation on the fast decoder holds one span's
+    tables: its peak follows the span cap, not the trace length."""
+    profile = get_profile(benchmark)
+    short, full = FAST_LENGTHS
+    if not _FastCore.supports(_Session(profile, 64, short, None)):
+        print("FAIL: the fast-decoder case does not reach the fast decoder",
+              file=sys.stderr)
+        return False
+    gen = ChunkedTraceGenerator(profile)
+    (short_trace, short_peak), (trace, peak) = (
+        traced_peak(lambda n=n: gen.generate(n)) for n in FAST_LENGTHS)
+    budget = SPAN_BYTES * _SPAN_MAX
+    extra = (chunk_layout(trace)["payload_bytes"]
+             - chunk_layout(short_trace)["payload_bytes"])
+    growth = peak - short_peak
+    mib = 2 ** 20
+    print(f"fast-decoder peak {peak / mib:.2f} MiB at {full:,} "
+          f"instructions, {short_peak / mib:.2f} MiB at {short:,} "
+          f"({benchmark}, whole trace)")
+    print(f"  budget         {budget / mib:.2f} MiB = {SPAN_BYTES} B x "
+          f"{_SPAN_MAX:,}-instruction span cap")
+    print(f"  peak growth    {growth / mib:.2f} MiB (limit "
+          f"{(extra + FAST_MARGIN) / mib:.2f} MiB: {extra / mib:.2f} MiB "
+          f"more trace + {FAST_MARGIN / mib:g} MiB)")
+    if peak > budget:
+        print("FAIL: fast-decoder generation exceeds its span-cap budget",
+              file=sys.stderr)
+        return False
+    if growth > extra + FAST_MARGIN:
+        print("FAIL: fast-decoder generation grows faster than the trace "
+              "— its span tables are no longer bounded by the span cap",
+              file=sys.stderr)
         return False
     return True
 
@@ -247,10 +300,13 @@ def main(argv=None) -> int:
     print(f"process max RSS  {rss_kib / 2**10:.1f} MiB")
     if not walk_guard(args.benchmark, args.budget_chunks, args.growth_limit):
         return 1
+    if not fast_guard(args.benchmark):
+        return 1
     if not corun_guard(args.budget_chunks):
         return 1
-    print("OK: peak memory is O(chunk); the co-run pass holds its "
-          "references and annotations")
+    print("OK: peak memory is O(chunk); fast-decoder generation holds one "
+          "span's tables; the co-run pass holds its references and "
+          "annotations")
     return 0
 
 

@@ -196,15 +196,16 @@ def reset_cache_stats() -> CacheStats:
 # -- storage ----------------------------------------------------------------
 
 
-def _artifact_path(kind: str, key: str) -> Path:
-    return cache_root() / kind / key[:2] / f"{key}.pkl"
+def _artifact_path(kind: str, key: str, root: Path | None = None) -> Path:
+    root = cache_root() if root is None else root
+    return root / kind / key[:2] / f"{key}.pkl"
 
 
 _MISS = object()
 
 
-def _load(kind: str, key: str):
-    path = _artifact_path(kind, key)
+def _load(kind: str, key: str, root: Path | None = None):
+    path = _artifact_path(kind, key, root)
     try:
         with open(path, "rb") as fh:
             return pickle.load(fh)
@@ -217,8 +218,8 @@ def _load(kind: str, key: str):
         return _MISS
 
 
-def _store(kind: str, key: str, obj) -> None:
-    path = _artifact_path(kind, key)
+def _store(kind: str, key: str, obj, root: Path | None = None) -> None:
+    path = _artifact_path(kind, key, root)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -357,10 +358,11 @@ class TraceLayer:
         self._held = 0
         self._root: Path | None = None
 
-    def get(self, key: str):
-        """The held trace for ``key``, or ``None``."""
+    def get(self, key: str, root: Path | None = None):
+        """The held trace for ``key``, or ``None``.  ``root`` is the
+        cache root when the caller has resolved it already."""
         with self._lock:
-            self._follow_root()
+            self._follow_root(root)
             entry = self._traces.get(key)
             if entry is None:
                 return None
@@ -373,7 +375,8 @@ class TraceLayer:
             self._traces.move_to_end(key)
             return trace
 
-    def put(self, key: str, trace, manifest: Path | None = None):
+    def put(self, key: str, trace, manifest: Path | None = None,
+            root: Path | None = None):
         """Hold ``trace`` (evicting the least recently used); returns the
         trace now held for ``key``, so racing callers converge on one.
         ``manifest`` is where the trace's chunk manifest is stored."""
@@ -381,7 +384,7 @@ class TraceLayer:
         if size > self.budget:
             return trace
         with self._lock:
-            self._follow_root()
+            self._follow_root(root)
             held = self._traces.get(key)
             if held is not None:
                 return held[0]
@@ -400,8 +403,9 @@ class TraceLayer:
             self._traces.clear()
             self._held = 0
 
-    def _follow_root(self) -> None:
-        root = cache_root()
+    def _follow_root(self, root: Path | None) -> None:
+        if root is None:
+            root = cache_root()
         if root != self._root:
             self._traces.clear()
             self._held = 0
@@ -435,11 +439,11 @@ def trace_artifact(benchmark: str, length: int, seed: int | None = None):
     chunks when the workload's manifest exists and otherwise generates
     the trace, publishing its content-addressed payloads and manifest
     (so a later streaming run of the same workload mmaps them).  A
-    stored manifest counts as a ``trace`` cache hit, a generation as a
-    miss.  Synthetic generation is the vectorized chunked generator,
-    byte-identical to the original scalar generator (an equivalence the
-    test suite enforces per profile); ingested traces are served from
-    their stored chunks.
+    manifest that is read counts as a ``trace`` cache hit, a generation
+    (an unreadable manifest included) as a miss.  Synthetic generation
+    is the vectorized chunked generator, byte-identical to the original
+    scalar generator (an equivalence the test suite enforces per
+    profile); ingested traces are served from their stored chunks.
 
     In front of the disk sits the in-process :class:`TraceLayer`: a
     repeat returns the very same ``Trace`` object (and so its memo),
@@ -450,28 +454,31 @@ def trace_artifact(benchmark: str, length: int, seed: int | None = None):
 
     workload = WorkloadSpec(benchmark, length, seed)
     key = artifact_key("trace", workload.canonical())
-    trace = _TRACES.get(key)
+    root = cache_root()
+    trace = _TRACES.get(key, root)
     if trace is not None:
         with _spans.span("artifact.trace", content_key=key, hit=True,
                          layer="memory"):
             _STATS._bump(_STATS.hits, "trace")
             return trace
-    _, chunked, _, manifest_key = _chunk_recipe(
-        workload.benchmark, workload.length, workload.seed)
+    recipe = _chunk_recipe(workload.benchmark, workload.length,
+                           workload.seed)
+    _, chunked, _, manifest_key = recipe
     manifest = _artifact_path(
-        "ingest" if chunked is None else "trace_chunks", manifest_key)
-    with _spans.span("artifact.trace", content_key=key) as sp:
-        stored = cache_enabled() and manifest.exists()
-        if cache_enabled():
-            _STATS._bump(_STATS.hits if stored else _STATS.misses, "trace")
-        sp.set(hit=stored)
+        "ingest" if chunked is None else "trace_chunks", manifest_key, root)
+    with _spans.span("artifact.trace", content_key=key, hit=False) as sp:
+        def looked_up(found: bool) -> None:
+            _STATS._bump(_STATS.hits if found else _STATS.misses, "trace")
+            sp.set(hit=found)
+
         # one chunk is read into memory, so a held trace keeps no file
         # mapped (a mapping holds a descriptor open); more are mapped,
         # as joining them copies anyway
-        trace = trace_chunk_stream(
-            workload.benchmark, workload.length, workload.seed,
-            mmap=workload.length > DEFAULT_CHUNK_SIZE).materialize()
-    return _TRACES.put(key, trace, manifest)
+        trace = _recipe_stream(
+            recipe, workload.benchmark, workload.length,
+            mmap=workload.length > DEFAULT_CHUNK_SIZE, root=root,
+            looked_up=looked_up).materialize()
+    return _TRACES.put(key, trace, manifest, root)
 
 
 # -- the chunk store ---------------------------------------------------------
@@ -490,7 +497,11 @@ def trace_artifact(benchmark: str, length: int, seed: int | None = None):
 
 def chunk_payload_path(key: str) -> Path:
     """On-disk location of a content-addressed chunk payload."""
-    return cache_root() / "chunks" / key[:2] / f"{key}.rtc"
+    return _payload_path(cache_root(), key)
+
+
+def _payload_path(root: Path, key: str) -> Path:
+    return root / "chunks" / key[:2] / f"{key}.rtc"
 
 
 def _chunk_recipe(benchmark: str, length: int | None = None,
@@ -557,16 +568,29 @@ def trace_chunk_stream(benchmark: str, length: int | None = None,
     payloads, and keeps yielding — consumers never observe the
     corruption.
     """
+    return _recipe_stream(_chunk_recipe(benchmark, length, seed, chunk_size),
+                          benchmark, length, mmap)
+
+
+def _recipe_stream(recipe, benchmark: str, length: int | None, mmap: bool,
+                   root: Path | None = None, looked_up=None):
+    """:func:`trace_chunk_stream` for an already resolved
+    :func:`_chunk_recipe`.  ``root`` is the cache root the caller
+    resolved (``None`` resolves it per iteration); with the cache on,
+    ``looked_up(found)`` hears whether the manifest was read (``True``)
+    or the trace is generated (``False``)."""
     from repro.trace.chunks import TraceChunkStream
     from repro.trace.profiles import get_profile
 
-    ref, workload, cs, manifest_key = _chunk_recipe(
-        benchmark, length, seed, chunk_size)
+    ref, workload, cs, manifest_key = recipe
     if workload is None:
         from repro import ingest as _ingest
 
-        return _ingest.ingest_chunk_stream(
-            ref, length=length, chunk_size=chunk_size, mmap=mmap)
+        stream = _ingest.ingest_chunk_stream(
+            ref, length=length, chunk_size=cs, mmap=mmap)
+        if looked_up is not None:
+            looked_up(True)  # the manifest was just read
+        return stream
     n = workload.length
     if cs <= 0:
         raise ValueError("chunk_size must be positive")
@@ -585,22 +609,26 @@ def trace_chunk_stream(benchmark: str, length: int | None = None,
         if not cache_enabled():
             yield from generate()
             return
-        manifest = _load("trace_chunks", manifest_key)
-        if manifest is not _MISS:
-            _STATS._bump(_STATS.hits, "trace_chunks")
-            yield from _serve_chunks(manifest, benchmark, generate, mmap)
+        at = cache_root() if root is None else root
+        manifest = _load("trace_chunks", manifest_key, at)
+        found = manifest is not _MISS
+        _STATS._bump(_STATS.hits if found else _STATS.misses,
+                     "trace_chunks")
+        if looked_up is not None:
+            looked_up(found)
+        if found:
+            yield from _serve_chunks(manifest, benchmark, generate, mmap, at)
             return
-        _STATS._bump(_STATS.misses, "trace_chunks")
         keys: list[str] = []
         sizes: list[int] = []
         for chunk in generate():
-            keys.append(_publish_chunk(chunk))
+            keys.append(_publish_chunk(chunk, root=at))
             sizes.append(len(chunk))
             yield chunk
         _store("trace_chunks", manifest_key, {
             "name": benchmark, "length": n, "chunk_size": cs,
             "keys": keys, "sizes": sizes,
-        })
+        }, at)
 
     return TraceChunkStream(source, name=benchmark, length=n, chunk_size=cs)
 
@@ -618,7 +646,8 @@ def _spanned_generation(chunks, benchmark: str):
         idx += 1
 
 
-def _publish_chunk(chunk, force: bool = False) -> str:
+def _publish_chunk(chunk, force: bool = False,
+                   root: Path | None = None) -> str:
     """Store one chunk container under its content key (idempotent).
 
     ``force`` overwrites an existing payload — used when recovering
@@ -627,7 +656,7 @@ def _publish_chunk(chunk, force: bool = False) -> str:
     from repro.trace.chunks import chunk_content_key, write_chunk
 
     key = chunk_content_key(chunk)
-    path = chunk_payload_path(key)
+    path = _payload_path(cache_root() if root is None else root, key)
     if force or not path.exists():
         with _spans.span("chunk.store", content_key=key):
             try:
@@ -649,7 +678,8 @@ def publish_chunk(chunk, force: bool = False) -> str:
     return _publish_chunk(chunk, force)
 
 
-def _serve_chunks(manifest: dict, name: str, generate, mmap: bool):
+def _serve_chunks(manifest: dict, name: str, generate, mmap: bool,
+                  root: Path):
     """Yield a manifest's chunks from disk, regenerating through any
     corrupted/torn payload."""
     from repro.trace.chunks import ChunkCorruptError, read_chunk
@@ -660,7 +690,7 @@ def _serve_chunks(manifest: dict, name: str, generate, mmap: bool):
         try:
             with _spans.span("chunk.read", content_key=key, chunk=idx,
                              hit=True):
-                chunk = read_chunk(chunk_payload_path(key), name=name,
+                chunk = read_chunk(_payload_path(root, key), name=name,
                                    mmap=mmap)
                 if len(chunk) != manifest["sizes"][idx]:
                     raise ChunkCorruptError(
@@ -680,7 +710,7 @@ def _serve_chunks(manifest: dict, name: str, generate, mmap: bool):
     for idx, chunk in enumerate(generate()):
         if idx < failed_at:
             continue
-        _publish_chunk(chunk, force=True)
+        _publish_chunk(chunk, force=True, root=root)
         yield chunk
 
 

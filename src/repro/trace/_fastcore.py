@@ -3,7 +3,7 @@
 The generator's walk (:func:`repro.trace.synthetic._walk`), run over the
 tape by :mod:`repro.trace.vectorgen`, replays the reference draw-for-draw.
 This module is the fast path: it decodes the
-same tape in *spans* of tens of thousands of instructions with numpy
+same tape in *spans* of up to ``_SPAN_MAX`` instructions with numpy
 kernels plus one lean Python loop, producing byte-identical columns.
 
 How a span is decoded
@@ -80,8 +80,10 @@ _OP_JUMP = int(OpClass.JUMP)
 #: sentinel consumption marking "cannot resolve vectorized" (fits int32
 #: even when three of them are summed during table composition)
 _LARGE = 1 << 28
-#: max instructions decoded per span
-_SPAN_MAX = 1 << 15
+#: max instructions decoded per span.  A span's tables cover about six
+#: tape tokens per instruction, so this bounds the decoder's working set
+#: (about 18 MiB peak for a whole 30k trace at 2**14, 30 at 2**15)
+_SPAN_MAX = 1 << 14
 #: tape tokens of guard zone at the window end
 _GUARD_T = 1 << 11
 

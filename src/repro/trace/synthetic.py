@@ -42,7 +42,6 @@ resolve.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +72,9 @@ CODE_BASE = 0x0040_1180
 #: matches the paper's 128-byte cache lines
 _LOCALITY_LINE = 128
 _RECENCY_DEPTH = 16
+
+#: opclass-pool entries decoded per window (see ``_Session.pool_peek``)
+_POOL_WINDOW = 1 << 12
 
 _BODY_CLASSES = (
     OpClass.LOAD,
@@ -216,12 +218,13 @@ class _Session:
         self.blocks = _StaticProgram(profile, rng).blocks
         classes, probs = _body_mix(profile)
         self.body_probs = probs
-        self.body_classes = classes.tolist()
         self.body_classes_np = classes
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        self.body_cdf = cdf            #: numpy, for vectorized pool decode
-        self.body_cdf_list = cdf.tolist()
+        self.body_cdf = cdf
+        #: decoded pool window: classes of tape offsets from ``_win_lo``
+        self._win = np.empty(0, dtype=np.int8)
+        self._win_lo = 0
 
         #: tape origin: generator state right before the pool draw
         self.state0 = rng.bit_generator.state
@@ -271,16 +274,29 @@ class _Session:
         count = min(count, self.n - 1 - st.pool_i)
         if count <= 0:
             return np.empty(0, dtype=np.int8)
-        toks = self.tokens(st.pool_base + st.pool_i, count)
-        u = (toks >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        idx = np.searchsorted(self.body_cdf, u, side="right")
-        return self.body_classes_np[idx]
+        return self._pool_window(st.pool_base + st.pool_i, count)
 
     def pool_class_at(self, pos: int) -> int:
         """Decode a single pool opclass at absolute tape offset ``pos``."""
-        tok = int(self.tokens(pos, 1)[0])
-        u = (tok >> 11) * (2.0 ** -53)
-        return self.body_classes[bisect_right(self.body_cdf_list, u)]
+        return int(self._pool_window(pos, 1)[0])
+
+    def _pool_window(self, pos: int, count: int) -> np.ndarray:
+        """Pool opclasses at tape offsets ``pos .. pos + count - 1``.
+
+        A pool class is a pure function of its tape token, so the decoded
+        window is keyed on absolute offsets and never goes stale; a read
+        outside it decodes a fresh window of at least ``_POOL_WINDOW``
+        entries starting at ``pos``.
+        """
+        off = pos - self._win_lo
+        if off < 0 or off + count > len(self._win):
+            toks = self.tokens(pos, max(count, _POOL_WINDOW))
+            u = (toks >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+            idx = np.searchsorted(self.body_cdf, u, side="right")
+            self._win = self.body_classes_np[idx]
+            self._win_lo = pos
+            off = 0
+        return self._win[off:off + count]
 
     def is_warm(self, st: _GenState) -> bool:
         """Fast-decoder preconditions: the register recency window is

@@ -21,6 +21,7 @@ from repro.runner.artifacts import (
     reset_cache_stats,
     trace_artifact,
 )
+from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
 
 
 @pytest.fixture(autouse=True)
@@ -297,6 +298,45 @@ class TestTraceStore:
         _assert_same_columns(again, first)
         assert cache_stats().errors == 1
         assert path.stat().st_size > 100  # republished
+
+    def test_unreadable_manifest_is_a_miss(self):
+        from repro.runner import artifacts
+        from repro.runner.pool import RunnerStats
+
+        first = trace_artifact("gzip", 2_000)
+        (manifest,) = (cache_root() / "trace_chunks").rglob("*.pkl")
+        manifest.write_bytes(b"garbage, not a pickle")
+        artifacts._TRACES.clear()
+        reset_cache_stats()
+        again = trace_artifact("gzip", 2_000)
+        _assert_same_columns(again, first)
+        stats = cache_stats()
+        assert stats.misses["trace"] == 1
+        assert "trace" not in stats.hits
+        assert stats.errors == 1
+        assert RunnerStats(cache=stats.snapshot()).trace_computes == 1
+
+    def test_a_miss_resolves_the_workload_and_root_once(self,
+                                                        monkeypatch):
+        from repro.runner import artifacts
+
+        recipes, roots = [], []
+        chunk_recipe, root = artifacts._chunk_recipe, artifacts.cache_root
+        monkeypatch.setattr(
+            artifacts, "_chunk_recipe",
+            lambda *a, **kw: recipes.append(1) or chunk_recipe(*a, **kw))
+        monkeypatch.setattr(artifacts, "cache_root",
+                            lambda: roots.append(1) or root())
+        # two chunks, so per-chunk paths would show in the count
+        length = DEFAULT_CHUNK_SIZE + 1_000
+        first = trace_artifact("gzip", length)          # generated
+        assert (len(recipes), len(roots)) == (1, 1)
+        artifacts._TRACES.clear()
+        again = trace_artifact("gzip", length)          # read back
+        assert (len(recipes), len(roots)) == (2, 2)
+        _assert_same_columns(again, first)
+        assert cache_stats().misses["trace"] == 1
+        assert cache_stats().hits["trace"] == 1
 
     def test_a_pickled_trace_is_never_read(self):
         from repro.runner import artifacts

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.trace import _fastcore, vectorgen
+from repro.trace import _fastcore, synthetic, vectorgen
 from repro.trace.chunks import chunk_content_key
 from repro.trace.profiles import BENCHMARK_ORDER, get_profile
 from repro.trace.synthetic import SyntheticTraceGenerator
@@ -116,6 +116,54 @@ def test_tape_window_slides_mid_walk(monkeypatch):
         ref = SyntheticTraceGenerator(profile).generate(n)
         got = ChunkedTraceGenerator(profile).generate(n)
         assert_traces_identical(got, ref, f"window=3 @{n}")
+
+
+@pytest.mark.parametrize("span_max", [1_000, 4_097])
+@pytest.mark.parametrize("bench", ["gzip", "mcf", "eon"])
+def test_span_cap_never_changes_the_bytes(bench, span_max, monkeypatch):
+    """The span cap only bounds the decoder's tables: spans that end
+    mid-block, at any cap, resume exactly, whole and chunked."""
+    profile = get_profile(bench)
+    ref = SyntheticTraceGenerator(profile).generate(12_000)
+    monkeypatch.setattr(_fastcore, "_SPAN_MAX", span_max)
+    got = ChunkedTraceGenerator(profile).generate(12_000)
+    assert_traces_identical(got, ref, f"{bench} span_max={span_max}")
+    parts = list(ChunkedTraceGenerator(profile).chunks(
+        12_000, chunk_size=997))
+    assert_traces_identical(concat_traces(parts, name=ref.name), ref,
+                            f"{bench} span_max={span_max} chunk_size=997")
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "walk"])
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("bench", ["mcf", "gzip"])
+def test_pool_window_never_changes_the_bytes(bench, window, fast,
+                                             monkeypatch):
+    """A tiny opclass-pool window is re-decoded on almost every read:
+    walk blocks, span peeks and the eager refill crossing (lengths
+    1-40) all read through it."""
+    profile = get_profile(bench)
+    refs = {n: SyntheticTraceGenerator(profile).generate(n)
+            for n in (*range(1, 41), 3_000)}
+    monkeypatch.setattr(synthetic, "_POOL_WINDOW", window)
+    monkeypatch.setattr(_fastcore, "FAST_OK", fast)
+    for n, ref in refs.items():
+        got = ChunkedTraceGenerator(profile).generate(n)
+        assert_traces_identical(got, ref, f"window={window} @{n}")
+
+
+def test_pool_decodes_per_window_not_per_block(monkeypatch):
+    """A 30k trace re-seeds the tape a handful of times (the walk's
+    window, one pool window per span, the spans), not once per block."""
+    calls = []
+    tokens = synthetic._Session.tokens
+    monkeypatch.setattr(
+        synthetic._Session, "tokens",
+        lambda self, pos, count: calls.append(1) or tokens(self, pos, count))
+    for bench in BENCHMARK_ORDER:
+        calls.clear()
+        ChunkedTraceGenerator(get_profile(bench)).generate(30_000)
+        assert len(calls) <= 8, bench
 
 
 def test_byte_identical_at_longer_length_and_explicit_seed():
