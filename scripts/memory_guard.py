@@ -28,6 +28,12 @@ six tape tokens per instruction of a span, and a span holds at most
 built from that cap alone, and its growth between the two lengths to the
 longer trace's extra bytes plus a small margin.
 
+A checkpoint case runs a streamed ``execute_spec`` twice per length on
+a temporary cache root: the first run stores the trace chunks and the
+functional warm-up checkpoint, the second restores the checkpoint.  The
+restored run is held to the same O(chunk) budget and growth limit, so
+the checkpoint can never carry O(length) state.
+
 The last case runs the shared-L2 co-run pass
 (:func:`repro.corun.contention.run_contended_pass`) over two streamed
 workloads at 50k and 200k instructions each.  That pass is not O(chunk):
@@ -46,8 +52,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -55,7 +63,10 @@ from repro.config import BASELINE
 from repro.corun.contention import run_contended_pass
 from repro.corun.interleave import interleave_order
 from repro.frontend.collector import CollectorConfig
+from repro.runner.artifacts import cache_stats
+from repro.runner.pool import execute_spec
 from repro.simulator.streaming import simulate_stream
+from repro.spec import EngineSpec, RunSpec, WorkloadSpec
 from repro.telemetry.session import Telemetry
 from repro.trace._fastcore import _SPAN_MAX, _FastCore
 from repro.trace.chunks import TraceChunkStream, chunk_layout
@@ -169,6 +180,53 @@ def fast_guard(benchmark: str) -> bool:
         print("FAIL: fast-decoder generation grows faster than the trace "
               "— its span tables are no longer bounded by the span cap",
               file=sys.stderr)
+        return False
+    return True
+
+
+def checkpoint_guard(benchmark: str, lengths: tuple[int, int],
+                     chunk_size: int, budget: float,
+                     growth_limit: float) -> bool:
+    """A streamed run that restores the warm-up checkpoint is O(chunk):
+    the checkpoint holds cache and predictor state, nothing per
+    instruction."""
+    saved = {name: os.environ.pop(name, None)
+             for name in ("REPRO_CACHE_DIR", "REPRO_CACHE_DISABLE")}
+    peaks = []
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            os.environ["REPRO_CACHE_DIR"] = root
+            for length in lengths:
+                spec = RunSpec(
+                    workload=WorkloadSpec(benchmark, length),
+                    machine=BASELINE,
+                    engine=EngineSpec(stream=True, chunk_size=chunk_size))
+                execute_spec(spec)  # stores the chunks and the checkpoint
+                hits = cache_stats().hits.get("warm", 0)
+                _, peak = traced_peak(lambda: execute_spec(spec))
+                if cache_stats().hits.get("warm", 0) != hits + 1:
+                    print("FAIL: the second streamed run did not restore "
+                          "the warm-up checkpoint", file=sys.stderr)
+                    return False
+                peaks.append(peak)
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+    short_peak, peak = peaks
+    growth = peak / short_peak
+    print(f"checkpoint hit   peak {peak / 2**20:.2f} MiB at "
+          f"{lengths[1]:,} instructions, {short_peak / 2**20:.2f} MiB at "
+          f"{lengths[0]:,} ({growth:.2f}x; streamed execute_spec "
+          "restoring the warm-up checkpoint)")
+    if peak > budget:
+        print("FAIL: a checkpoint-restoring run exceeds the O(chunk) "
+              "budget", file=sys.stderr)
+        return False
+    if growth > growth_limit:
+        print("FAIL: a checkpoint-restoring run grows with trace length — "
+              "the checkpoint carries O(trace) state", file=sys.stderr)
         return False
     return True
 
@@ -298,15 +356,18 @@ def main(argv=None) -> int:
             return 1
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"process max RSS  {rss_kib / 2**10:.1f} MiB")
+    if not checkpoint_guard(args.benchmark, (short_length, args.length),
+                            args.chunk_size, budget, args.growth_limit):
+        return 1
     if not walk_guard(args.benchmark, args.budget_chunks, args.growth_limit):
         return 1
     if not fast_guard(args.benchmark):
         return 1
     if not corun_guard(args.budget_chunks):
         return 1
-    print("OK: peak memory is O(chunk); fast-decoder generation holds one "
-          "span's tables; the co-run pass holds its references and "
-          "annotations")
+    print("OK: peak memory is O(chunk), also when a run restores the "
+          "warm-up checkpoint; fast-decoder generation holds one span's "
+          "tables; the co-run pass holds its references and annotations")
     return 0
 
 

@@ -24,14 +24,17 @@ class Bimodal(BranchPredictor):
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
-        self._table = np.full(entries, _WEAKLY_TAKEN, dtype=np.int8)
+        # a bytearray, not a numpy array: the counters are read and
+        # written one scalar at a time, which a bytearray does with
+        # plain ints and no numpy scalar boxing
+        self._table = bytearray([_WEAKLY_TAKEN]) * entries
         self._mask = entries - 1
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self._mask
 
     def _predict(self, pc: int) -> bool:
-        return bool(self._table[self._index(pc)] >= _WEAKLY_TAKEN)
+        return self._table[self._index(pc)] >= _WEAKLY_TAKEN
 
     def _update(self, pc: int, taken: bool) -> None:
         idx = self._index(pc)
@@ -44,7 +47,7 @@ class Bimodal(BranchPredictor):
                 self._table[idx] = counter - 1
 
     def _reset_state(self) -> None:
-        self._table.fill(_WEAKLY_TAKEN)
+        self._table[:] = bytearray([_WEAKLY_TAKEN]) * self.entries
 
 
 class StaticPredictor(BranchPredictor):

@@ -206,7 +206,9 @@ def _simulate_spec(spec):
 
     Returns ``(result, session)``; the session is ``None`` when the
     spec's telemetry is disabled.  Unlike the runner's paths, this
-    bypasses the result cache, so the session always sees a real run.
+    bypasses the result cache, so the session always sees a real run;
+    a streamed spec still goes through the runner's streaming helper,
+    trace chunks and warm-up checkpoint included.
     """
     from repro.obs import spans as _spans
     from repro.simulator.processor import resolve_telemetry
@@ -215,16 +217,9 @@ def _simulate_spec(spec):
     tele = resolve_telemetry(spec.telemetry)
     opt_in = tele if tele is not None else False
     if spec.engine.stream:
-        from repro.runner import artifacts
-        from repro.simulator.streaming import simulate_stream
-        from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
+        from repro.runner.pool import simulate_streaming
 
-        stream = artifacts.trace_chunk_stream(
-            workload.benchmark, workload.length, workload.seed,
-            chunk_size=spec.engine.chunk_size or DEFAULT_CHUNK_SIZE)
-        result = simulate_stream(stream, spec.machine,
-                                 instrument=spec.engine.instrument,
-                                 telemetry=opt_in)
+        result = simulate_streaming(spec, telemetry=opt_in)
     else:
         with _spans.span("trace.generate", workload=workload.benchmark,
                          length=workload.length):

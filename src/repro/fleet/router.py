@@ -30,6 +30,12 @@ Request lifecycle
    siblings; only when *every* target is saturated does the client see
    ``overloaded``.  A request's ``timeout`` is the node's deadline, so a
    node that passes it answers ``timeout``, and that answer is returned.
+   A request without one is forwarded with the node's own default
+   deadline (its ``request_timeout_s``, learned from its ``ping``), and
+   the node client waits that deadline plus a grace, so the node's
+   ``timeout`` answer arrives before the client gives up.  Until that
+   ping has answered, such a request goes without a deadline and the
+   node applies its default itself.
 
 Span tracing propagates through the hop: a traced client request gets a
 ``router.route`` span parented under the client's span, and the node's
@@ -68,7 +74,7 @@ class _Node:
     """One worker node as the router sees it."""
 
     __slots__ = ("address", "host", "port", "client", "healthy",
-                 "node_id", "inflight", "last_error")
+                 "node_id", "deadline_s", "inflight", "last_error")
 
     def __init__(self, address: str):
         host, _, port = address.rpartition(":")
@@ -78,6 +84,8 @@ class _Node:
         self.client = AsyncServiceClient(self.host, self.port)
         self.healthy = True  # innocent until a probe or a reset says not
         self.node_id: str | None = None
+        #: the node's default request deadline, once a ping tells it
+        self.deadline_s: float | None = None
         self.inflight = 0
         self.last_error: str | None = None
 
@@ -169,6 +177,7 @@ class FleetRouter(FrontDoor):
         try:
             result = await self._probe(node, "ping")
             node.node_id = result.get("node") or node.address
+            node.deadline_s = result.get("request_timeout_s")
         except Exception as exc:  # noqa: BLE001 - identity is best-effort
             node.last_error = f"ping: {exc}"
 
@@ -262,10 +271,13 @@ class FleetRouter(FrontDoor):
         saw_overloaded = False
         for node in candidates:
             node.inflight += 1
+            # an explicit deadline, so the client waits it out plus a
+            # grace and the node's own timeout answer comes first; while
+            # the node's default is unknown the node applies it itself
             try:
                 response = await node.client.request(
-                    request.op, normalized, timeout=request.timeout,
-                    trace=trace)
+                    request.op, normalized,
+                    timeout=request.timeout or node.deadline_s, trace=trace)
             except OSError as exc:  # ConnectionError: lost or unanswered
                 self._mark_down(node, f"forward: {exc}")
                 metrics.counter("router.failover").inc()

@@ -420,10 +420,8 @@ class PassDriver:
             pass
         return sweep
 
-    def run(self, annotate: bool = False
-            ) -> Iterator[tuple[int, Trace, PassTallies]]:
-        """The configured warm-up passes, then ``(base, chunk, tallies)``
-        for each chunk of the recording pass.
+    def warm_up(self) -> None:
+        """The configured warm-up passes.
 
         Mutates the cache and predictor state exactly as the reference
         pass does, and the L2's and the predictor's statistics (the
@@ -438,6 +436,13 @@ class PassDriver:
                               warmup_pass=warmup)):
                 for _, _, sweep in self._sweeps():
                     sweep_l2(l2, sweep.l2_set, sweep.l2_tag)
+
+    def run(self, annotate: bool = False
+            ) -> Iterator[tuple[int, Trace, PassTallies]]:
+        """:meth:`warm_up`, then ``(base, chunk, tallies)`` for each
+        chunk of the recording pass."""
+        self.warm_up()
+        l2 = self.hierarchy.l2
         for base, chunk, sweep in self._sweeps():
             hits = sweep_l2(l2, sweep.l2_set, sweep.l2_tag)
             yield base, chunk, settle_pass(sweep, hits, len(chunk),

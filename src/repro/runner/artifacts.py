@@ -1,9 +1,9 @@
 """Persistent content-addressed cache for expensive experiment artifacts.
 
-Traces, miss-event annotations and simulation results are all pure
-functions of a small recipe (benchmark profile, trace length, RNG seed,
-machine configuration).  This module stores them on disk under a key that
-hashes the *complete* recipe, so
+Traces, miss-event annotations, warm-up checkpoints and simulation
+results are all pure functions of a small recipe (benchmark profile,
+trace length, RNG seed, machine configuration).  This module stores them
+on disk under a key that hashes the *complete* recipe, so
 
 * repeated experiment invocations — and every worker of the parallel
   runner — reuse earlier work instead of regenerating it, and
@@ -78,7 +78,11 @@ from repro.spec import env as _env
 _log = logging.getLogger(__name__)
 
 #: bump when the pickled layout of any artifact kind changes; old cache
-#: entries become unreachable rather than unreadable
+#: entries become unreachable rather than unreadable.  The ``warm`` kind
+#: pickles :class:`~repro.memory.cache.Cache`,
+#: :class:`~repro.memory.hierarchy.CacheHierarchy` and predictor
+#: instances whole, so a change to those classes' attributes is such a
+#: change too and needs a bump
 SCHEMA_VERSION = 1
 
 #: pickle protocol for stored artifacts (5 handles numpy buffers well)
@@ -714,6 +718,25 @@ def _serve_chunks(manifest: dict, name: str, generate, mmap: bool,
         yield chunk
 
 
+def _functional_recipe(machine, benchmark: str, length: int,
+                       seed: int | None, warmup_passes: int) -> dict:
+    """The recipe of a functional pass over a workload: the trace
+    recipe plus everything the pass depends on — the machine's cache
+    hierarchy, predictor name and ideal-predictor flag, and the warm-up
+    count.  Core-only axes (width, depth, window) and the engine are
+    deliberately *not* part of it: the pass does not read them, and the
+    fast and reference passes are bit-identical (an equivalence the test
+    suite enforces)."""
+    from repro.spec.specs import WorkloadSpec
+
+    return WorkloadSpec(benchmark, length, seed).canonical() | {
+        "hierarchy": machine.hierarchy.to_dict(),
+        "predictor": machine.predictor,
+        "ideal_predictor": machine.ideal_predictor,
+        "warmup_passes": warmup_passes,
+    }
+
+
 def annotations_artifact(
     trace,
     machine,
@@ -722,17 +745,9 @@ def annotations_artifact(
     seed: int | None = None,
     warmup_passes: int = 1,
 ):
-    """Functional-pass miss-event annotations for ``trace``, disk-cached.
-
-    The key covers the trace recipe plus everything the functional pass
-    depends on: the machine's cache hierarchy, predictor name and
-    ideal-predictor flag, and the warm-up count.  The simulation engine
-    is deliberately *not* part of the key — the fast and reference
-    passes are bit-identical (an equivalence the test suite enforces),
-    so either may serve both.
-    """
+    """Functional-pass miss-event annotations for ``trace``, disk-cached
+    under its :func:`_functional_recipe`."""
     from repro.frontend.collector import CollectorConfig, MissEventCollector
-    from repro.spec.specs import WorkloadSpec
 
     def compute():
         collector = MissEventCollector(
@@ -742,15 +757,42 @@ def annotations_artifact(
             profile = collector.collect(trace, annotate=True)
         return profile.annotations
 
-    machine_part = {
-        "hierarchy": machine.hierarchy.to_dict(),
-        "predictor": machine.predictor,
-        "ideal_predictor": machine.ideal_predictor,
-        "warmup_passes": warmup_passes,
-    }
-    workload = WorkloadSpec(benchmark, length, seed)
     return cached_artifact(
         "annotations",
-        workload.canonical() | machine_part,
+        _functional_recipe(machine, benchmark, length, seed, warmup_passes),
+        compute,
+    )
+
+
+def warm_artifact(
+    stream,
+    machine,
+    benchmark: str,
+    length: int,
+    seed: int | None = None,
+    warmup_passes: int = 1,
+):
+    """The streamed functional pass's state after its warm-up passes
+    over ``stream`` (a :class:`~repro.frontend.streaming.WarmState`),
+    disk-cached under the same :func:`_functional_recipe` as the
+    annotations.
+
+    The state is O(cache geometry), not O(length), so unlike the
+    annotations it is cached for streamed runs too; a hit saves every
+    warm-up read of the stream.  Chunk size is not part of the key (the
+    pass is chunk-size independent), and each hit unpickles fresh
+    objects, so runs never share mutable state.
+    """
+    from repro.frontend.collector import CollectorConfig
+    from repro.frontend.streaming import StreamingCollector
+
+    def compute():
+        collector = StreamingCollector(
+            CollectorConfig.of(machine, warmup_passes))
+        return collector.warm_up(stream)
+
+    return cached_artifact(
+        "warm",
+        _functional_recipe(machine, benchmark, length, seed, warmup_passes),
         compute,
     )

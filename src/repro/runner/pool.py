@@ -144,7 +144,7 @@ def execute_spec(spec: RunSpec, reuse_result: bool = False) -> SimResult:
 
     if spec.engine.stream:
         return _result(spec.result_recipe(),
-                       lambda: _simulate_streaming(spec), reuse_result)
+                       lambda: simulate_streaming(spec), reuse_result)
 
     workload = spec.workload
     trace = artifacts.trace_artifact(workload.benchmark, workload.length,
@@ -161,10 +161,16 @@ def execute_spec(spec: RunSpec, reuse_result: bool = False) -> SimResult:
     return _result(spec.result_recipe(), simulate, reuse_result)
 
 
-def _simulate_streaming(spec: RunSpec) -> SimResult:
+def simulate_streaming(spec: RunSpec, telemetry=None) -> SimResult:
     """Streaming simulation of one spec: trace chunks are generated (or
     mmapped from the chunk cache), functionally annotated, and simulated
     chunk-at-a-time — peak memory stays O(chunk) at any workload length.
+
+    The functional warm-up is restored from its cached checkpoint
+    (:func:`~repro.runner.artifacts.warm_artifact`) and replayed only on
+    a miss.  ``telemetry`` overrides ``spec.telemetry`` (any value
+    :func:`~repro.simulator.processor.resolve_telemetry` takes).  The
+    result itself is never served from or stored in the cache here.
     """
     from repro.simulator.streaming import simulate_stream
     from repro.trace.vectorgen import DEFAULT_CHUNK_SIZE
@@ -176,9 +182,13 @@ def _simulate_streaming(spec: RunSpec) -> SimResult:
         chunk_size=chunk_size)
     with _spans.span("sim.stream", benchmark=workload.benchmark,
                      length=workload.length, chunk_size=chunk_size):
-        return simulate_stream(stream, spec.machine,
-                               instrument=spec.engine.instrument,
-                               telemetry=spec.telemetry)
+        warm = artifacts.warm_artifact(stream, spec.machine,
+                                       workload.benchmark, workload.length,
+                                       workload.seed)
+        return simulate_stream(
+            stream, spec.machine, instrument=spec.engine.instrument,
+            telemetry=spec.telemetry if telemetry is None else telemetry,
+            warm=warm)
 
 
 def _worker(args: tuple[int, RunSpec, bool, dict | None]

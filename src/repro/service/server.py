@@ -332,7 +332,8 @@ class ServiceServer(FrontDoor):
             else (200, "ok\n")
 
     def _about(self) -> dict:
-        return {"node": self.node_id}
+        return {"node": self.node_id,
+                "request_timeout_s": self.scheduler.config.request_timeout_s}
 
     def _metrics_labels(self) -> dict | None:
         return {"node": self.node_id} if self.node_id else None

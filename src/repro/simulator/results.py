@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,20 @@ class Instrumentation:
         if threshold >= len(self.issued_histogram):
             return 0.0
         return float(self.issued_histogram[threshold:].sum()) / total
+
+    def __eq__(self, other) -> bool:
+        # the generated __eq__ compares field tuples, which asks numpy
+        # for the truth value of an elementwise histogram comparison
+        if not isinstance(other, Instrumentation):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
     def __iadd__(self, other: "Instrumentation") -> "Instrumentation":
         """Merge another run segment's counts into this one.

@@ -606,6 +606,7 @@ def simulate_stream(
     instrument: bool = False,
     warmup_passes: int = 1,
     telemetry=None,
+    warm=None,
 ) -> SimResult:
     """Detailed simulation of a chunk stream, end to end, in O(chunk).
 
@@ -613,7 +614,9 @@ def simulate_stream(
     cache/predictor state across chunks) and feeds the annotated chunks
     straight into :func:`run_fast_stream` — no trace, annotation array,
     or dependence table is ever materialized whole.  Bit-identical to
-    ``DetailedSimulator.run`` on the materialized trace.
+    ``DetailedSimulator.run`` on the materialized trace.  ``warm``, a
+    :class:`~repro.frontend.streaming.WarmState` of the same trace and
+    memory side, replaces the warm-up passes (and is stepped in place).
     """
     from repro.frontend.collector import CollectorConfig
     from repro.frontend.streaming import StreamingCollector
@@ -625,7 +628,7 @@ def simulate_stream(
         raise ValueError("cannot simulate an empty stream")
     collector = StreamingCollector(CollectorConfig.of(cfg, warmup_passes))
     tele = resolve_telemetry(telemetry)
-    feed = collector.iter_annotated(stream, annotate=True)
+    feed = collector.iter_annotated(stream, annotate=True, warm=warm)
     with _spans.span("sim.stream.engine", workload=stream.name,
                      instructions=n):
         result = run_fast_stream(feed, n, cfg, name=stream.name,

@@ -168,6 +168,46 @@ class TestDeadlines:
         assert [n["healthy"] for n in doc["nodes"]] == [True, True], doc
         assert doc["counters"]["router.failover"] == 0
 
+    def test_node_default_deadline_answer_comes_before_the_client_wait(
+            self):
+        """A request without a deadline runs under the node's own
+        ``request_timeout_s``.  The router forwards that deadline
+        explicitly, so even when the node client's wait equals it (120 s
+        on both sides by default) the node's ``timeout`` answer comes
+        first: no failover, no node marked down."""
+        from repro.fleet import BackgroundRouter
+        from repro.service import BackgroundServer, SchedulerConfig
+
+        config = SchedulerConfig(workers=1, queue_limit=16,
+                                 request_timeout_s=0.5, retries=0)
+        with BackgroundServer(config=config, node_id="n1") as a, \
+                BackgroundServer(config=config, node_id="n2") as b:
+            spec = FleetSpec(nodes=(f"{a.host}:{a.port}",
+                                    f"{b.host}:{b.port}"),
+                             replication=2, health_interval_s=0.25)
+            with BackgroundRouter(spec) as router:
+                nodes = list(router.router.nodes.values())
+                for node in nodes:
+                    node.client.timeout = config.request_timeout_s
+                deadline = time.monotonic() + 10
+                while (any(n.deadline_s is None for n in nodes)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                assert [n.deadline_s for n in nodes] == [0.5, 0.5]
+                params = _spec_payload("simulate", {
+                    "benchmark": "gzip", "length": LENGTH,
+                    "chaos": {"sleep": 2.0}})
+                with ServiceClient(router.host, router.port) as client:
+                    response = client.request("simulate", params)
+                assert not response["ok"]
+                assert response["error"]["code"] == "timeout", \
+                    response["error"]
+                _, body = _http(router, "GET", "/fleet")
+                doc = json.loads(body)
+                assert [n["healthy"] for n in doc["nodes"]] == \
+                    [True, True], doc
+                assert doc["counters"]["router.failover"] == 0
+
 
 class TestHttp:
     def test_healthz_and_version(self, fleet2):

@@ -1,5 +1,7 @@
 """Instrumentation edge cases and merge semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,40 @@ class TestFractionOfCyclesAtIssue:
     def test_empty_histogram(self):
         instr = make_instr([0, 0, 0])
         assert instr.fraction_of_cycles_at_issue(1) == 0.0
+
+
+#: one changed value per Instrumentation field
+FIELD_CHANGES = [
+    ("issued_histogram", np.array([1, 2, 4])),
+    ("window_left_at_mispredict", [1]),
+    ("rob_ahead_at_long_miss", [3, 3]),
+    ("dispatch_stall_rob", 1),
+    ("dispatch_stall_window", 1),
+]
+
+
+class TestEquality:
+    def test_changes_cover_every_field(self):
+        assert [name for name, _ in FIELD_CHANGES] == \
+            [f.name for f in dataclasses.fields(Instrumentation)]
+
+    def test_equal_runs_compare_equal(self):
+        kwargs = dict(window_left_at_mispredict=[1, 2],
+                      rob_ahead_at_long_miss=[3], dispatch_stall_rob=4,
+                      dispatch_stall_window=5)
+        assert make_instr([1, 2, 3], **kwargs) == make_instr([1, 2, 3],
+                                                             **kwargs)
+
+    @pytest.mark.parametrize("field, value", FIELD_CHANGES)
+    def test_any_field_tells_runs_apart(self, field, value):
+        base = make_instr([1, 2, 3], window_left_at_mispredict=[1, 2],
+                          rob_ahead_at_long_miss=[3])
+        other = make_instr([1, 2, 3], window_left_at_mispredict=[1, 2],
+                           rob_ahead_at_long_miss=[3])
+        setattr(other, field, value)
+        assert base != other
+        # a histogram of another issue width never compares equal
+        assert base != make_instr([1, 2])
 
 
 class TestMerge:
